@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/flowc
 	$(GO) test -run='^$$' -fuzz=FuzzExplore -fuzztime=$(FUZZTIME) ./internal/petri
 	$(GO) test -run='^$$' -fuzz=FuzzPNMLParse -fuzztime=$(FUZZTIME) ./internal/pnml
+	$(GO) test -run='^$$' -fuzz=FuzzDistFrame -fuzztime=$(FUZZTIME) ./internal/dist
 
 coverage:
 	$(GO) test -race -coverprofile=coverage.out ./...

@@ -421,14 +421,18 @@ func BenchmarkExploreDistTrimmed(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreDistPipelined measures the protocol-3 pipelined
-// session on the full 161k-state net at 1, 2 and 4 workers: the
-// streaming merge consumes each worker's chunks as they arrive, record
-// batches overlap the next level's expansion with the current level's
-// merge tail, and candNew candidates resolve by shipped hash. Reported
-// alongside timing: coordinator fires per session (must equal the
-// states materialized — the no-refire property the unit tests pin),
-// candNew count, chunk count and receive bytes per level.
+// BenchmarkExploreDistPipelined measures the pipelined dist session on
+// the full 161k-state net at 1, 2 and 4 workers: the streaming merge
+// consumes each worker's chunks as they arrive, record batches overlap
+// the next level's expansion with the current level's merge tail, and
+// candNew candidates resolve by shipped hash. Reported alongside
+// timing: coordinator fires per session (must equal the states
+// materialized — the no-refire property the unit tests pin), candNew
+// count, chunk count and receive bytes per level. The procs-N-full
+// variants run the full-replica fallback at 2 and 4 workers; every
+// variant reports total wire bytes (wireB) and the largest worker
+// replica (workerReplicaB, store plus enabled-set bytes), the two
+// figures the full-versus-trimmed replica decision rests on.
 func BenchmarkExploreDistPipelined(b *testing.B) {
 	const pipes, stages = 5, 11
 	want := 1
@@ -436,14 +440,22 @@ func BenchmarkExploreDistPipelined(b *testing.B) {
 		want *= stages
 	}
 	opt := petri.ExploreOptions{MaxMarkings: want + 1}
-	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("procs-%d", procs), func(b *testing.B) {
+	for _, cfg := range []struct {
+		procs int
+		full  bool
+	}{{1, false}, {2, false}, {4, false}, {2, true}, {4, true}} {
+		name := fmt.Sprintf("procs-%d", cfg.procs)
+		if cfg.full {
+			name += "-full"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			pool, err := dist.SpawnLocal(procs)
+			pool, err := dist.SpawnLocal(cfg.procs)
 			if err != nil {
-				b.Fatalf("spawn %d workers: %v", procs, err)
+				b.Fatalf("spawn %d workers: %v", cfg.procs, err)
 			}
 			defer pool.Close()
+			pool.SetFullReplicas(cfg.full)
 			n := exploreLargeNet(pipes, stages)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -457,15 +469,21 @@ func BenchmarkExploreDistPipelined(b *testing.B) {
 			}
 			b.StopTimer()
 			st := pool.LastSessionStats()
-			if st.Proto < 3 {
-				b.Fatalf("session ran protocol %d, want the pipelined stream (>= 3)", st.Proto)
+			if st.Trimmed == cfg.full {
+				b.Fatalf("session ran trimmed=%v, want full replicas=%v", st.Trimmed, cfg.full)
 			}
 			if st.CoordFires != int64(want-1) {
 				b.Fatalf("coordinator fired %d times, want one per interned state = %d", st.CoordFires, want-1)
 			}
+			var replicaMax int64
+			for _, w := range st.Workers {
+				replicaMax = max(replicaMax, w.StoreBytes+w.BitsBytes)
+			}
 			b.ReportMetric(float64(st.CandNew), "candNew")
 			b.ReportMetric(float64(st.CoordFires), "coordFires")
 			b.ReportMetric(float64(st.Chunks), "chunks")
+			b.ReportMetric(float64(st.BytesSent+st.BytesRecv), "wireB")
+			b.ReportMetric(float64(replicaMax), "workerReplicaB")
 			if st.Levels > 0 {
 				b.ReportMetric(float64(st.BytesRecv)/float64(st.Levels), "recvB/level")
 			}

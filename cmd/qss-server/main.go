@@ -38,6 +38,30 @@ import (
 	"repro/internal/server"
 )
 
+// Connection bounds for slow or idle clients. Headers must arrive
+// within readHeaderTimeout and the body (at most 8MiB) within
+// readTimeout; the synthesis handler re-arms readTimeout for the body
+// read, so admission-queue time does not count, and clears it before
+// synthesizing. Synthesis time is governed by -default-timeout and
+// -max-timeout instead, which is why no WriteTimeout is set: it would
+// cut off a long synthesis's response.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server carrying
+// the connection bounds above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	// A -dist-workers pool re-executes this binary for its local worker
 	// processes; they must become workers before flag parsing or main
@@ -121,7 +145,7 @@ func realMain() int {
 	// scripts) parse it to find the server.
 	logger.Printf("qss-server: listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

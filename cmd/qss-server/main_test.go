@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -132,6 +134,42 @@ func TestServerSmoke(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not exit within 30s of SIGTERM")
+	}
+}
+
+// TestSlowHeaderDisconnected: a client that sends half a request
+// header and then stalls is disconnected once the header timeout
+// passes, instead of holding its connection open indefinitely. The
+// production server carries readHeaderTimeout; the test shortens it.
+func TestSlowHeaderDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	const headerTimeout = 100 * time.Millisecond
+	srv.ReadHeaderTimeout = headerTimeout
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: qss\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	c.SetReadDeadline(begin.Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, c); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if elapsed := time.Since(begin); elapsed < headerTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, headerTimeout)
 	}
 }
 

@@ -19,7 +19,7 @@
 // for the whole pool, trading this worker's memory for local successor
 // classification. -freeze-levels moves the vectors of committed levels
 // into an on-disk delta segment, so this worker's resident store cost
-// stops scaling with the marking width (protocol 3+ sessions only).
+// stops scaling with the marking width.
 // Determinism is the coordinator's job: any number of workers, in
 // either replica mode, frozen or all-hot, on any machines, produces
 // byte-identical results.
@@ -43,7 +43,7 @@ func realMain() int {
 	timeout := flag.Duration("timeout", 30*time.Second, "how long to keep retrying the initial dial")
 	dialAttempts := flag.Int("dial-attempts", 0, "cap the initial-dial retries (exponential backoff with jitter); 0 retries until -timeout expires")
 	fullReplicas := flag.Bool("full-replicas", false, "refuse trimmed sessions; the coordinator falls back to full-replica mode")
-	freezeLevels := flag.Bool("freeze-levels", false, "freeze committed levels to an on-disk delta segment (protocol 3+ sessions)")
+	freezeLevels := flag.Bool("freeze-levels", false, "freeze committed levels to an on-disk delta segment")
 	flag.Parse()
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "qssd: -connect is required")

@@ -92,14 +92,15 @@
 // every worker rebuilds the whole store, trading memory parity with
 // the coordinator for fully local successor classification. In either
 // mode workers answer with candidate streams classifying each
-// successor as vetoed, known (dense global MarkID) or new — at
-// protocol 3 a new candidate also carries the successor's 64-bit
-// marking hash, which lets the coordinator resolve duplicates by a
-// hash-only store probe instead of re-firing the transition itself
-// (it fires exactly once per state it actually materializes). The
-// session is pipelined rather than barriered: workers push their
-// candidate streams in bounded ack'd chunks as they expand, the
-// coordinator merges each worker's slice of a level while later
+// successor as vetoed, known (dense global MarkID) or new — a new
+// candidate also carries the successor's 64-bit marking hash, which
+// lets the coordinator resolve duplicates by a hash-only store probe
+// instead of re-firing the transition itself (it fires exactly once
+// per state it actually materializes). The session is pipelined, and
+// it is the only one either side speaks (a worker greeting with
+// another protocol version is refused): workers push their candidate
+// streams in bounded ack'd chunks as they expand, the coordinator
+// merges each worker's slice of a level while later
 // slices are still in flight, and intra-level record batches plus an
 // explicit level-commit message let workers start expanding level L+1
 // while the coordinator is still merging the tail of L. None of this
@@ -174,11 +175,11 @@
 //
 // Determinism is also what makes worker failure survivable: any
 // correct re-execution produces the same bytes, so the coordinator may
-// freely restart, replace or abandon workers mid-session (dist
-// protocol 4). Liveness is heartbeat-probed (msgPing/msgPong plus
-// read/write deadlines), so a silently dead or wedged worker is
-// unmasked within a bounded interval even while its TCP connection
-// looks healthy. On a death the coordinator pauses at the last
+// freely restart, replace or abandon workers mid-session. Liveness is
+// heartbeat-probed (msgPing/msgPong plus read/write deadlines), so a
+// silently dead or wedged worker is unmasked within a bounded interval
+// even while its TCP connection looks healthy. On a death the
+// coordinator pauses at the last
 // committed BFS level, quiesces the survivors, respawns a replacement
 // process when it can (SpawnLocal pools; bounded retries with
 // exponential backoff and jitter) — rebuilding its trimmed replica by

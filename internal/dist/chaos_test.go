@@ -53,20 +53,18 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 			}
 		}
 		errc := make(chan error, 1)
-		go func() { errc <- serveConnVer(wc, newLogWriter("worker"), WorkerOptions{}, protoVersion) }()
+		go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
 		c := newConn(cs)
 		payload, err := c.expect(msgHello)
-		var ver int
 		var flags uint64
 		if err == nil {
-			ver, flags, _, err = checkHello(payload)
+			flags, _, err = checkHello(payload)
 		}
 		if err != nil {
 			t.Fatalf("chaos worker %d handshake: %v", i, err)
 		}
 		p.workers = append(p.workers, c)
 		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
-		p.vers = append(p.vers, ver)
 		cp.wconns = append(cp.wconns, ws)
 		t.Cleanup(func() {
 			cs.Close()
@@ -77,33 +75,50 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 	return cp
 }
 
-// TestHelloPidRoundTrip: the version-4 hello's trailing pid — the
-// SpawnLocal conn-to-process mapping that kill/respawn depends on —
-// survives the wire, and pre-version-4 hellos parse with pid 0.
+// TestHelloPidRoundTrip: the hello's trailing pid — the SpawnLocal
+// conn-to-process mapping that kill/respawn depends on — survives the
+// wire, and a hello of any other protocol version is refused, both by
+// checkHello and by a pool accepting such a worker.
 // (Regression: the pid was once decoded at the flags offset and came
 // back 0, making every respawn pool think its workers were external.)
 func TestHelloPidRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		ver, pid, want int
-	}{{2, 0, 0}, {3, 0, 0}, {4, 12345, 12345}, {4, 1, 1}} {
+		ver, pid int
+		ok       bool
+	}{{2, 0, false}, {3, 0, false}, {4, 12345, true}, {4, 1, true}} {
 		cs, ws := net.Pipe()
 		go func() {
-			newConn(ws).sendHello(tc.ver, helloFullReplicas, tc.pid)
+			newConn(ws).send(msgHello, appendHello(nil, tc.ver, helloFullReplicas, tc.pid))
 		}()
 		c := newConn(cs)
 		payload, err := c.expect(msgHello)
 		if err != nil {
 			t.Fatalf("v%d: %v", tc.ver, err)
 		}
-		ver, flags, pid, err := checkHello(payload)
+		flags, pid, err := checkHello(payload)
 		cs.Close()
 		ws.Close()
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "protocol version") {
+				t.Fatalf("v%d: checkHello = %v, want a protocol version error", tc.ver, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("v%d: checkHello: %v", tc.ver, err)
 		}
-		if ver != tc.ver || flags != helloFullReplicas || pid != tc.want {
-			t.Fatalf("v%d pid %d: got ver=%d flags=%d pid=%d", tc.ver, tc.pid, ver, flags, pid)
+		if flags != helloFullReplicas || pid != tc.pid {
+			t.Fatalf("v%d pid %d: got flags=%d pid=%d", tc.ver, tc.pid, flags, pid)
 		}
+	}
+	// A pool refuses the old worker at accept time instead of starting
+	// a session with it.
+	p, err := acceptPipePool(t, []pipeWorker{{ver: 2}})
+	if err == nil || !strings.Contains(err.Error(), "protocol version") {
+		t.Fatalf("accept of a version-2 worker = %v, want a protocol version error", err)
+	}
+	if len(p.workers) != 0 {
+		t.Fatalf("pool kept %d workers after a refused hello", len(p.workers))
 	}
 }
 
@@ -123,7 +138,7 @@ func TestHeartbeatTimeout(t *testing.T) {
 	go func() {
 		defer close(done)
 		c := newConn(ws)
-		if err := c.sendHello(protoVersion, 0, os.Getpid()); err != nil {
+		if err := c.send(msgHello, appendHello(nil, protoVersion, 0, os.Getpid())); err != nil {
 			return
 		}
 		for {
@@ -136,14 +151,13 @@ func TestHeartbeatTimeout(t *testing.T) {
 	c := newConn(cs)
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		_, _, _, err = checkHello(payload)
+		_, _, err = checkHello(payload)
 	}
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	p.workers = append(p.workers, c)
 	p.wantFull = append(p.wantFull, false)
-	p.vers = append(p.vers, protoVersion)
 	t.Cleanup(func() { cs.Close(); ws.Close(); <-done })
 
 	n := ringNet(2, 4)

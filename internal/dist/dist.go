@@ -21,41 +21,33 @@
 //
 // Per session (one exploration), the coordinator sends the net, the
 // petri.ExpandSpec (fireable-ECS mask + place caps) and the root
-// markings once. Protocol versions are negotiated per connection at
-// hello time and the pool runs every session at the minimum version
-// across its workers.
+// markings once. Both sides speak exactly one protocol version; a
+// worker greeting with any other version is refused at hello time.
 //
-// At protocol 2 each level is one barriered round trip: the
-// coordinator ships the level's newly discovered states, every worker
-// expands the frontier states whose shard it owns and answers with
-// one result frame classifying each successor as veto, known (dense
-// global MarkID) or new, and the coordinator merges.
-//
-// Protocol 3 replaces the barrier with a pipelined stream in both
-// directions. Workers push their candidate bytes as they expand, cut
-// into chunks at state-group boundaries (msgChunk, ~16KiB target);
-// the coordinator acknowledges each chunk it consumes (msgAck) and a
-// worker keeps at most chunkWindow chunks unacknowledged, so a slow
-// merge applies backpressure instead of buffering without bound. The
-// coordinator merges worker W's slice of a level the moment W's bytes
-// arrive — per-connection reader goroutines feed bounded channels —
-// while other workers' slices are still in flight. Toward the
-// workers, newly admitted states stream mid-merge in small record
-// batches (msgRecords) and an explicit level commit (msgLevel,
-// carrying the level's [start,end) MarkID range) tells workers the
-// records of that level are complete; a worker therefore starts
-// expanding its slice of level L+1 while the coordinator is still
-// merging the tail of L. Because a worker may expand a state before
-// the coordinator has numbered its successors, a protocol-3 candNew
-// additionally carries the successor's 64-bit marking hash: the
-// coordinator resolves already-interned states by a hash-only probe
-// (exact until the store observes a hash alias, then it falls back to
-// vector-exact lookups) and fires a transition only for each state it
-// actually materializes. A worker classifies against its last
-// committed level ("pin"): successors at or past the pin are reported
-// new even if locally known, which keeps the candidate stream a pure
-// function of ownership and committed levels — byte-identical
-// regardless of message timing.
+// The session is a pipelined stream in both directions. Workers push
+// their candidate bytes as they expand, cut into chunks at state-group
+// boundaries (msgChunk, ~16KiB target); the coordinator acknowledges
+// each chunk it consumes (msgAck) and a worker keeps at most
+// chunkWindow chunks unacknowledged, so a slow merge applies
+// backpressure instead of buffering without bound. The coordinator
+// merges worker W's slice of a level the moment W's bytes arrive —
+// per-connection reader goroutines feed bounded channels — while other
+// workers' slices are still in flight. Toward the workers, newly
+// admitted states stream mid-merge in small record batches
+// (msgRecords) and an explicit level commit (msgLevel, carrying the
+// level's [start,end) MarkID range) tells workers the records of that
+// level are complete; a worker therefore starts expanding its slice of
+// level L+1 while the coordinator is still merging the tail of L.
+// Because a worker may expand a state before the coordinator has
+// numbered its successors, every candNew candidate carries the
+// successor's 64-bit marking hash: the coordinator resolves
+// already-interned states by a hash-only probe (exact until the store
+// observes a hash alias, then it falls back to vector-exact lookups)
+// and fires a transition only for each state it actually materializes.
+// A worker classifies against its last committed level ("pin"):
+// successors at or past the pin are reported new even if locally known,
+// which keeps the candidate stream a pure function of ownership and
+// committed levels — byte-identical regardless of message timing.
 //
 // In the default trimmed-replica mode each worker holds vectors,
 // hashes and enabled bitsets only for its owned shards — per-worker
@@ -105,9 +97,9 @@
 //
 // # Failure model
 //
-// Protocol 4 makes a session survive the loss of workers. Liveness is
-// monitored from both directions: every protocol-4 connection runs
-// per-message write deadlines (sendTimeout) plus a generous worker-side
+// A session survives the loss of workers. Liveness is monitored from
+// both directions: every session connection runs per-message write
+// deadlines (sendTimeout) plus a generous worker-side
 // read deadline, and while the coordinator's merge awaits a frame it
 // pings the awaited worker every heartbeatInterval — a worker from
 // which no frame at all arrives within heartbeatTimeout is declared

@@ -5,16 +5,27 @@ import (
 	"net"
 	"os"
 	"testing"
+	"time"
 
 	"repro/internal/petri"
 )
 
 // pipeWorker describes one in-process worker of a pipePoolOf pool.
 type pipeWorker struct {
-	ver  int                     // hello protocol version; 0 means current
+	ver  int                     // 0: a real worker; else it only sends a hello of this version
 	wopt WorkerOptions           // worker-side options
 	wrap func(net.Conn) net.Conn // optional worker-side conn wrapper (latency injection)
 }
+
+// pipeListener is a net.Listener handing out the coordinator ends of
+// in-process pipes, so pipe pools handshake through Pool.accept exactly
+// like spawned and external pools.
+type pipeListener struct{ conns chan net.Conn }
+
+func (l *pipeListener) Accept() (net.Conn, error) { return <-l.conns, nil }
+
+func (l *pipeListener) Close() error   { return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "unix"} }
 
 // pipePool builds a Pool whose "workers" are goroutines on the other
 // end of net.Pipe connections — the full protocol stack (framing,
@@ -32,37 +43,36 @@ func pipePool(t *testing.T, n int, wopt WorkerOptions) *Pool {
 	return pipePoolOf(t, specs)
 }
 
-// pipePoolOf is pipePool with per-worker protocol versions and conn
-// wrappers, for the downgrade and delayed-stream tests.
+// pipePoolOf is pipePool with per-worker options and conn wrappers,
+// for the delayed-stream tests.
 func pipePoolOf(t *testing.T, specs []pipeWorker) *Pool {
 	t.Helper()
+	p, err := acceptPipePool(t, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// acceptPipePool starts the specified pipe workers and gathers them
+// through Pool.accept, returning the accept error rather than failing.
+func acceptPipePool(t *testing.T, specs []pipeWorker) (*Pool, error) {
+	t.Helper()
 	p := &Pool{logw: newLogWriter("coord")}
-	for i, spec := range specs {
+	ln := &pipeListener{conns: make(chan net.Conn, len(specs))}
+	for _, spec := range specs {
 		cs, ws := net.Pipe()
 		wc := net.Conn(ws)
 		if spec.wrap != nil {
 			wc = spec.wrap(ws)
 		}
-		ver := spec.ver
-		if ver == 0 {
-			ver = protoVersion
-		}
-		wopt := spec.wopt
 		errc := make(chan error, 1)
-		go func() { errc <- serveConnVer(wc, newLogWriter("worker"), wopt, ver) }()
-		c := newConn(cs)
-		payload, err := c.expect(msgHello)
-		var gotVer int
-		var flags uint64
-		if err == nil {
-			gotVer, flags, _, err = checkHello(payload)
+		if spec.ver == 0 {
+			go func() { errc <- ServeConn(wc, newLogWriter("worker"), spec.wopt) }()
+		} else {
+			go func() { errc <- newConn(wc).send(msgHello, appendHello(nil, spec.ver, 0, os.Getpid())) }()
 		}
-		if err != nil {
-			t.Fatalf("pipe worker %d handshake: %v", i, err)
-		}
-		p.workers = append(p.workers, c)
-		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
-		p.vers = append(p.vers, gotVer)
+		ln.conns <- cs
 		t.Cleanup(func() {
 			cs.Close()
 			if err := <-errc; err != nil {
@@ -70,7 +80,8 @@ func pipePoolOf(t *testing.T, specs []pipeWorker) *Pool {
 			}
 		})
 	}
-	return p
+	_, err := p.accept(ln, len(specs), 10*time.Second)
+	return p, err
 }
 
 // ringNet builds `pipes` independent token rings of `stages` places
@@ -228,21 +239,20 @@ func TestPoolPoisoned(t *testing.T) {
 	cs, ws := net.Pipe()
 	go func() {
 		c := newConn(ws)
-		c.sendHello(protoVersion, 0, 0)
+		c.send(msgHello, appendHello(nil, protoVersion, 0, 0))
 		c.recv() // init
 		ws.Close()
 	}()
 	c := newConn(cs)
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		_, _, _, err = checkHello(payload)
+		_, _, err = checkHello(payload)
 	}
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	p.workers = append(p.workers, c)
 	p.wantFull = append(p.wantFull, false)
-	p.vers = append(p.vers, protoVersion)
 	n := ringNet(2, 3)
 	if _, err := n.ExploreDist(p, petri.ExploreOptions{MaxMarkings: 100}); err == nil {
 		t.Fatal("want error from dying worker")

@@ -1,9 +1,9 @@
 package dist
 
-// Coordinator-side failover: the protocol-4 session survives worker
-// death. The design leans entirely on the determinism contract — the
-// coordinator's store is authoritative and MarkID assignment never
-// leaves its sequential merge — so a session can be re-attempted from
+// Coordinator-side failover: a session survives worker death. The
+// design leans entirely on the determinism contract — the coordinator's
+// store is authoritative and MarkID assignment never leaves its
+// sequential merge — so a session can be re-attempted from
 // the last committed level with any worker count and any shard layout
 // and still produce byte-identical results:
 //
@@ -13,7 +13,7 @@ package dist
 //     (chunk, pong, stats, error) arrives within heartbeatTimeout.
 //     Sends carry write deadlines (conn.armWrite), so a peer that
 //     stopped reading fails the send instead of wedging the session.
-//   - recovery: runSessionV3 wraps per-attempt state (v3attempt) in a
+//   - recovery: runSession wraps per-attempt state (attempt) in a
 //     restart loop. On a death it quiesces the survivors back to their
 //     serve loops, respawns a replacement process (SpawnLocal pools;
 //     bounded jittered-backoff retries) or drops the dead worker and
@@ -21,7 +21,7 @@ package dist
 //     empty roots and rebuilds each replica with one msgRestore bulk
 //     load streamed from the authoritative store. The merge replays
 //     the interrupted level, discarding the candidates whose hooks
-//     already ran (v3resume counts them), and continues.
+//     already ran (resume counts them), and continues.
 //   - exhaustion: after maxSessionRestarts failed recoveries the
 //     session errors with SessionStats.Degraded set; the pool is
 //     poisoned as before and callers fall back to in-process
@@ -74,11 +74,11 @@ func (e *aliveError) Error() string { return "worker error: " + e.msg }
 
 var errReaderExited = errors.New("reader exited mid-session")
 
-// v3resume is the recovery checkpoint threaded through a session's
+// resume is the recovery checkpoint threaded through a session's
 // attempts: which level the merge was in and how much of it is already
 // processed, so a replay can discard exactly the candidates whose
 // hooks ran before the failure.
-type v3resume struct {
+type resume struct {
 	active     bool // a level has begun; restores are needed on re-init
 	aborted    bool // a Reject hook ended the session; only the finish remains
 	levelStart int  // the level being merged: [levelStart, levelEnd)
@@ -88,20 +88,19 @@ type v3resume struct {
 	levelDone  bool // the level completed and was counted before the failure
 }
 
-// runSessionV3 runs the pipelined session with failover: attempts run
+// runSession runs the pipelined session with failover: attempts run
 // until one succeeds, recovery fails, or the restart budget is spent.
-func (p *Pool) runSessionV3(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
-	proto := p.sessionProto()
-	p.stats = SessionStats{Proto: proto}
-	var rs v3resume
+func (p *Pool) runSession(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks) (bool, error) {
+	p.stats = SessionStats{}
+	var rs resume
 	for {
-		a := &v3attempt{p: p, proto: proto}
+		a := &attempt{p: p}
 		completed, err := a.run(n, store, spec, hooks, &rs)
 		if err == nil {
 			return completed, nil
 		}
 		var wd *workerDeath
-		if !errors.As(err, &wd) || proto < 4 {
+		if !errors.As(err, &wd) {
 			a.abort()
 			return false, err
 		}
@@ -126,7 +125,7 @@ func (p *Pool) runSessionV3(n *petri.Net, store *petri.MarkingStore, spec petri.
 // survivors back to their serve loops, then for each dead worker
 // either respawn a replacement (SpawnLocal pools) or drop it so the
 // next attempt re-shards across the survivors. Callers hold p.mu.
-func (p *Pool) recoverSession(a *v3attempt, wd *workerDeath) error {
+func (p *Pool) recoverSession(a *attempt, wd *workerDeath) error {
 	dead := make([]bool, len(p.workers))
 	if wd.alive {
 		// The worker reported the failure itself: its transport and
@@ -197,7 +196,7 @@ func (p *Pool) respawnWorker(i int) error {
 			lastErr = err
 			continue
 		}
-		c, ver, flags, _, err := acceptOne(p.ln, spawnHandshakeTimeout)
+		c, flags, _, err := acceptOne(p.ln, spawnHandshakeTimeout)
 		if err != nil {
 			lastErr = err
 			p.markDead(cmd)
@@ -205,7 +204,6 @@ func (p *Pool) respawnWorker(i int) error {
 			continue
 		}
 		p.workers[i] = c
-		p.vers[i] = ver
 		p.wantFull[i] = flags&helloFullReplicas != 0
 		p.procs[i] = cmd
 		p.logw.printf("respawned worker %d (pid %d)", i, cmd.Process.Pid)
@@ -243,7 +241,6 @@ func (p *Pool) removeWorkers(gone []int) {
 	}
 	var ws []*conn
 	var wf []bool
-	var vs []int
 	var procs []*exec.Cmd
 	for i := range p.workers {
 		if rm[i] {
@@ -251,12 +248,11 @@ func (p *Pool) removeWorkers(gone []int) {
 		}
 		ws = append(ws, p.workers[i])
 		wf = append(wf, p.wantFull[i])
-		vs = append(vs, p.vers[i])
 		if p.procs != nil {
 			procs = append(procs, p.procs[i])
 		}
 	}
-	p.workers, p.wantFull, p.vers = ws, wf, vs
+	p.workers, p.wantFull = ws, wf
 	if p.procs != nil {
 		p.procs = procs
 	}
@@ -302,12 +298,11 @@ func (p *Pool) KillWorker(i int) error {
 	return p.procs[i].Process.Kill()
 }
 
-// v3attempt is one try at a protocol-3/4 session: the per-attempt
-// reader links, streams and shard layout. A failed attempt's links are
-// drained by recovery; a new attempt starts fresh.
-type v3attempt struct {
+// attempt is one try at a session: the per-attempt reader links,
+// streams and shard layout. A failed attempt's links are drained by
+// recovery; a new attempt starts fresh.
+type attempt struct {
 	p       *Pool
-	proto   int
 	W, S    int
 	trim    bool
 	links   []*workerLink
@@ -316,18 +311,18 @@ type v3attempt struct {
 
 // deathOf wraps a worker failure for the restart loop, detecting the
 // worker-reported (alive) flavor.
-func (a *v3attempt) deathOf(i int, err error) error {
+func (a *attempt) deathOf(i int, err error) error {
 	var ae *aliveError
 	return &workerDeath{idx: i, alive: errors.As(err, &ae), err: err}
 }
 
-func (a *v3attempt) die(i int, err error) (bool, error) {
+func (a *attempt) die(i int, err error) (bool, error) {
 	return false, a.deathOf(i, err)
 }
 
 // drain flushes worker i's reader channel to closure. The reader must
 // be on its way out (terminal frame forwarded or connection closed).
-func (a *v3attempt) drain(i int) {
+func (a *attempt) drain(i int) {
 	if a.links == nil || a.links[i] == nil {
 		return
 	}
@@ -338,7 +333,7 @@ func (a *v3attempt) drain(i int) {
 // abort poisons the attempt: close every connection so workers and
 // readers unwind, then drain the reader channels so no goroutine
 // outlives the session.
-func (a *v3attempt) abort() {
+func (a *attempt) abort() {
 	for _, c := range a.p.workers {
 		c.close()
 	}
@@ -351,7 +346,7 @@ func (a *v3attempt) abort() {
 // send done, consume frames to the terminal stats (or worker error —
 // either way the worker ends at its serve loop awaiting the next
 // init). In-flight chunks are discarded unacked; the session is over.
-func (a *v3attempt) quiesce(i int) error {
+func (a *attempt) quiesce(i int) error {
 	if err := a.p.workers[i].send(msgDone, nil); err != nil {
 		return err
 	}
@@ -380,23 +375,13 @@ func (a *v3attempt) quiesce(i int) error {
 	}
 }
 
-// awaitFrame blocks for worker i's next frame. At protocol 4 it pings
-// the awaited worker every heartbeatInterval — any frame in reply,
+// awaitFrame blocks for worker i's next frame. It pings the awaited
+// worker every heartbeatInterval — any frame in reply,
 // pong included, proves liveness — and gives up after heartbeatTimeout
 // with no frame at all, bounding how long a silently dead worker can
 // stall the merge.
-func (a *v3attempt) awaitFrame(i int) (frame, error) {
+func (a *attempt) awaitFrame(i int) (frame, error) {
 	l := a.links[i]
-	if a.proto < 4 {
-		f, ok := <-l.ch
-		if !ok {
-			return frame{}, errReaderExited
-		}
-		if f.err != nil {
-			return frame{}, f.err
-		}
-		return f, nil
-	}
 	deadline := time.NewTimer(heartbeatTimeout)
 	defer deadline.Stop()
 	tick := time.NewTicker(heartbeatInterval)
@@ -437,7 +422,7 @@ func (a *v3attempt) awaitFrame(i int) (frame, error) {
 // plus the uncommitted tail. A trimmed worker receives its owned
 // states at or past the resume point; a full-replica worker the whole
 // store.
-func (a *v3attempt) sendRestores(store *petri.MarkingStore, rs *v3resume) error {
+func (a *attempt) sendRestores(store *petri.MarkingStore, rs *resume) error {
 	bounds := []int{rs.levelStart, rs.levelEnd}
 	var payload []byte
 	for i := range a.p.workers {
@@ -465,7 +450,7 @@ func (a *v3attempt) sendRestores(store *petri.MarkingStore, rs *v3resume) error 
 	return nil
 }
 
-func (a *v3attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
+func (a *attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
 	return petri.ShardOwner(petri.ShardOfHash(store.HashAt(id), a.S), a.S, a.W)
 }
 
@@ -474,7 +459,7 @@ func (a *v3attempt) owner(store *petri.MarkingStore, id petri.MarkID) int {
 // pool.go for the merge's shape; this is phase C of petri.RunFrontier
 // consuming each owner's chunk stream as the bytes arrive. All
 // failures return as *workerDeath for the restart loop.
-func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *v3resume) (bool, error) {
+func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.ExpandSpec, hooks petri.MergeHooks, rs *resume) (bool, error) {
 	p := a.p
 	W := len(p.workers)
 	S := petri.NumFrontierShards(W)
@@ -487,10 +472,8 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 		p.stats.BytesSent += sent
 		p.stats.BytesRecv += recvd
 	}()
-	if a.proto >= 4 {
-		for _, c := range p.workers {
-			c.writeTimeout = sendTimeout
-		}
+	for _, c := range p.workers {
+		c.writeTimeout = sendTimeout
 	}
 	// Links start before the inits so that even an init failure leaves
 	// an attempt whose channels recovery can drain.
@@ -513,8 +496,8 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 		}
 	}
 	for i, c := range p.workers {
-		init := &initMsg{proto: a.proto, index: i, workers: W, shards: S, trim: trim, net: n, spec: spec, roots: roots}
-		if err := c.send(msgInit, appendInit(nil, init, p.vers[i])); err != nil {
+		init := &initMsg{index: i, workers: W, shards: S, trim: trim, net: n, spec: spec, roots: roots}
+		if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 			return a.die(i, fmt.Errorf("init: %w", err))
 		}
 	}
@@ -791,7 +774,7 @@ func (a *v3attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expa
 // memory zeroed, its connection closed for the next session's recovery
 // to repair) rather than failing the session; on an aborted one a
 // failure is a regular death.
-func (a *v3attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bool) (bool, error) {
+func (a *attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bool) (bool, error) {
 	p := a.p
 	p.stats.Workers = make([]WorkerMem, a.W)
 	retired := make([]bool, a.W)
@@ -870,7 +853,7 @@ func (a *v3attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bo
 		}
 	}
 	p.stats.States = store.Len()
-	p.logw.printf("session %s: %d levels, %d states, %d candNew (%d fires, %d chunks), %d restarts (proto %d, trimmed=%v, completed=%v)",
-		n.Name, p.stats.Levels, p.stats.States, p.stats.CandNew, p.stats.CoordFires, p.stats.Chunks, p.stats.Restarts, a.proto, a.trim, completed)
+	p.logw.printf("session %s: %d levels, %d states, %d candNew (%d fires, %d chunks), %d restarts (trimmed=%v, completed=%v)",
+		n.Name, p.stats.Levels, p.stats.States, p.stats.CandNew, p.stats.CoordFires, p.stats.Chunks, p.stats.Restarts, a.trim, completed)
 	return completed, nil
 }

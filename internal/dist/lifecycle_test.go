@@ -73,7 +73,7 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 	c := newConn(cs)
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		_, _, _, err = checkHello(payload)
+		_, _, err = checkHello(payload)
 	}
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
@@ -91,7 +91,6 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 	p := &Pool{logw: newLogWriter("coord")}
 	p.workers = append(p.workers, c)
 	p.wantFull = append(p.wantFull, false)
-	p.vers = append(p.vers, protoVersion)
 	n := ringNet(2, 4)
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	want := n.Explore(opt)
@@ -122,8 +121,8 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 
 	// Severing the link mid-session is a transport error: the serve
 	// loop must exit non-nil (the process has nothing left to serve).
-	init := &initMsg{proto: 3, index: 0, workers: 1, shards: petri.NumFrontierShards(1), trim: true, net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
-	if err := c.send(msgInit, appendInit(nil, init, protoVersion)); err != nil {
+	init := &initMsg{index: 0, workers: 1, shards: petri.NumFrontierShards(1), trim: true, net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
+	if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 		t.Fatal(err)
 	}
 	cs.Close()

@@ -37,7 +37,7 @@ import (
 // WorkerOptions configures a worker's serve loop.
 type WorkerOptions struct {
 	// FullReplicas advertises (via hello) that this worker refuses
-	// trimmed sessions; the coordinator downgrades the pool to
+	// trimmed sessions; the coordinator switches the pool to
 	// full-replica mode. For memory-rich workers that prefer local
 	// successor classification over coordinator-side resolution.
 	FullReplicas bool
@@ -51,7 +51,7 @@ type WorkerOptions struct {
 	// it can never again be record parents or expansion sources, so
 	// only their hashes and segment offsets stay resident. Shrinks the
 	// per-worker footprint on top of what trimming already saves.
-	// Protocol-3+ sessions only; results are byte-identical either way.
+	// Results are byte-identical either way.
 	FreezeLevels bool
 }
 
@@ -68,15 +68,12 @@ type replica struct {
 
 	// Trimmed-mode state: gids maps the store's dense local ids to the
 	// coordinator's global MarkIDs (strictly ascending, so the inverse
-	// is a binary search), vcache holds boundary-parent vectors in
-	// lockstep with the coordinator, and nextStart/levels validate that
-	// expand messages arrive in frontier order.
+	// is a binary search) and vcache holds boundary-parent vectors in
+	// lockstep with the coordinator.
 	trim      bool
 	gids      []petri.MarkID
 	vcache    *vecCache
 	rootCount int
-	nextStart int
-	levels    int
 
 	// fwin buffers per-local-state provenance for the store's frozen
 	// tier (WorkerOptions.FreezeLevels); nil when freezing is off.
@@ -276,7 +273,7 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	return nil
 }
 
-// applyRestore rebuilds a fresh replica from a protocol-4 bulk load
+// applyRestore rebuilds a fresh replica from a bulk load
 // (see restoreMsg): every shipped state is interned in ascending global
 // id order with its enabled set recomputed from scratch (tracker.Init
 // and the incremental Update agree bit-for-bit). A trimmed replica
@@ -331,124 +328,25 @@ func (r *replica) applyRestore(m *restoreMsg) error {
 	return nil
 }
 
-// expandLevel applies the level's batch and expands the owned frontier
-// states, appending the result payload to dst.
-func (r *replica) expandLevel(dst []byte, msg *expandMsg) ([]byte, error) {
-	if r.trim {
-		return r.expandLevelTrim(dst, msg)
-	}
-	// The deltas must create exactly the frontier [start, end) on top of
-	// the current replica — except on the first level, whose frontier is
-	// the roots that arrived with init (no deltas).
-	firstLevel := len(msg.deltas) == 0 && msg.start == 0 && msg.end == r.store.Len()
-	if !firstLevel && (msg.start != r.store.Len() || len(msg.deltas) != msg.end-msg.start) {
-		return nil, fmt.Errorf("dist: expand range [%d,%d) with %d deltas does not extend store of %d states",
-			msg.start, msg.end, len(msg.deltas), r.store.Len())
-	}
-	for _, d := range msg.deltas {
-		if err := r.applyDelta(d); err != nil {
-			return nil, err
-		}
-	}
-	if msg.end != r.store.Len() {
-		return nil, fmt.Errorf("dist: frontier end %d, store has %d states after deltas", msg.end, r.store.Len())
-	}
-	// Count owned states first: the payload leads with the count.
-	owned := 0
-	for id := msg.start; id < msg.end; id++ {
-		if r.owns(petri.MarkID(id)) {
-			owned++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(owned))
-	for id := msg.start; id < msg.end; id++ {
-		if !r.owns(petri.MarkID(id)) {
-			continue
-		}
-		dst = r.expandState(dst, petri.MarkID(id))
-	}
-	return dst, nil
-}
-
-// expandLevelTrim is expandLevel for a trimmed session: the batch holds
-// only this worker's owned children, so the new frontier slice is
-// exactly the locals the records intern.
-func (r *replica) expandLevelTrim(dst []byte, msg *expandMsg) ([]byte, error) {
-	if r.levels == 0 {
-		if msg.start != 0 || msg.end != r.rootCount || len(msg.recs) != 0 {
-			return nil, fmt.Errorf("dist: first expand [%d,%d) with %d records does not match %d roots",
-				msg.start, msg.end, len(msg.recs), r.rootCount)
-		}
-	} else if msg.start != r.nextStart || msg.end < msg.start {
-		return nil, fmt.Errorf("dist: expand range [%d,%d) does not extend frontier at %d", msg.start, msg.end, r.nextStart)
-	}
-	levelLo := r.store.Len()
-	if r.levels == 0 {
-		levelLo = 0 // the roots interned at init are the first frontier
-	}
-	for _, rec := range msg.recs {
-		if int(rec.Child) < msg.start || int(rec.Child) >= msg.end {
-			return nil, fmt.Errorf("dist: record child %d outside frontier [%d,%d)", rec.Child, msg.start, msg.end)
-		}
-		if err := r.applyRec(rec); err != nil {
-			return nil, err
-		}
-	}
-	r.nextStart = msg.end
-	r.levels++
-	owned := r.store.Len() - levelLo
-	dst = binary.AppendUvarint(dst, uint64(owned))
-	for local := levelLo; local < r.store.Len(); local++ {
-		dst = r.expandState(dst, petri.MarkID(local))
-	}
-	return dst, nil
-}
-
 // expandState emits one owned state's candidate stream: the fireable
 // enabled ECSs in partition order, members in ascending transition
 // order — the serial loop's emit order, which the coordinator's merge
 // depends on. id is a LOCAL store id; the stream names global ids.
-func (r *replica) expandState(dst []byte, id petri.MarkID) []byte {
+//
+// Classification is pinned: a successor resolving to a global id at or
+// beyond pin — the expanded state's own level start — is emitted
+// candNew (with its 64-bit hash) instead of candKnown. Pipelined
+// workers expand a state whenever its record arrives, so the replica
+// may or may not already hold same-level or next-level successors at
+// that moment; the pin makes the emitted bytes a pure function of the
+// state, not of how far the record stream happened to have progressed,
+// preserving the byte-identical determinism contract. The coordinator
+// resolves every candNew by the shipped hash without re-firing.
+func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	m := r.store.At(id)
 	bits := r.bits[int(id)*r.stride : (int(id)+1)*r.stride]
 	// First pass counts candidates (the stream is length-prefixed);
 	// enabled-set iteration is two bit scans, firing happens once.
-	cands := 0
-	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
-		cands += len(r.part[ei].Trans)
-	})
-	dst = binary.AppendUvarint(dst, uint64(r.gid(id)))
-	dst = binary.AppendUvarint(dst, uint64(cands))
-	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
-		for _, tid := range r.part[ei].Trans {
-			r.scratch = m.FireInto(r.scratch, r.net.Transitions[tid])
-			switch gid, _, ok := r.classify(); {
-			case !ok:
-				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candVeto)
-			case gid != petri.NoMark:
-				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candKnown)
-				dst = binary.AppendUvarint(dst, uint64(gid))
-			default:
-				dst = binary.AppendUvarint(dst, uint64(tid)<<2|candNew)
-			}
-		}
-	})
-	return dst
-}
-
-// expandStateV3 is expandState under the protocol-3 classification pin:
-// a successor resolving to a global id at or beyond pin — the expanded
-// state's own level start — is emitted candNew (with its 64-bit hash,
-// one extra varint) instead of candKnown. Pipelined workers expand a
-// state whenever its record arrives, so the replica may or may not
-// already hold same-level or next-level successors at that moment; the
-// pin makes the emitted bytes a pure function of the state, not of how
-// far the record stream happened to have progressed, preserving the
-// byte-identical determinism contract. The coordinator resolves every
-// candNew by the shipped hash without re-firing.
-func (r *replica) expandStateV3(dst []byte, id, pin petri.MarkID) []byte {
-	m := r.store.At(id)
-	bits := r.bits[int(id)*r.stride : (int(id)+1)*r.stride]
 	cands := 0
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		cands += len(r.part[ei].Trans)
@@ -477,9 +375,8 @@ func (r *replica) expandStateV3(dst []byte, id, pin petri.MarkID) []byte {
 // otherwise the replica-known global MarkID (or NoMark for a successor
 // this worker cannot resolve — a first sighting, or in trimmed mode any
 // successor routing to another worker's shards) plus the successor's
-// hash, which protocol 3 ships with candNew candidates so the
-// coordinator's merge resolves them against the authoritative store
-// without re-firing.
+// hash, which ships with candNew candidates so the coordinator's merge
+// resolves them against the authoritative store without re-firing.
 func (r *replica) classify() (petri.MarkID, uint64, bool) {
 	if r.spec.Veto(r.scratch) {
 		return petri.NoMark, 0, false
@@ -571,19 +468,12 @@ func transportErr(err error) error {
 // an externally started cmd/qssd worker stays available for the next
 // session instead of dying on the first bad one.
 func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
-	return serveConnVer(nc, logw, opt, protoVersion)
-}
-
-// serveConnVer is ServeConn with an explicit hello version; tests use
-// it to stand up a protocol-2 worker against a newer coordinator and
-// exercise the downgrade path.
-func serveConnVer(nc net.Conn, logw *logWriter, opt WorkerOptions, ver int) error {
 	c := newConn(nc)
 	var flags uint64
 	if opt.FullReplicas {
 		flags |= helloFullReplicas
 	}
-	if err := c.sendHello(ver, flags, os.Getpid()); err != nil {
+	if err := c.send(msgHello, appendHello(nil, protoVersion, flags, os.Getpid())); err != nil {
 		return err
 	}
 	// draining: a session failed and its msgError went out; skip frames
@@ -609,16 +499,12 @@ func serveConnVer(nc net.Conn, logw *logWriter, opt WorkerOptions, ver int) erro
 			continue
 		}
 		draining = false
-		init, err := decodeInit(payload, ver)
+		init, err := decodeInit(payload)
 		if err == nil && init.trim && opt.FullReplicas {
 			err = fmt.Errorf("dist: trimmed session offered to a full-replicas-only worker")
 		}
 		if err == nil {
-			if init.proto >= 3 {
-				err = serveSessionV3(c, init, logw, opt)
-			} else {
-				err = serveSession(c, init, logw)
-			}
+			err = serveSession(c, init, logw, opt)
 		}
 		if err != nil {
 			var te *transportError
@@ -631,87 +517,33 @@ func serveConnVer(nc net.Conn, logw *logWriter, opt WorkerOptions, ver int) erro
 	}
 }
 
-// serveSession runs one protocol-2 exploration: apply each level's
-// batch, expand the owned slice of the frontier, reply, until done.
-func serveSession(c *conn, init *initMsg, logw *logWriter) error {
-	r, err := newReplica(init, false) // freezing needs the v3 level commits
+// serveSession runs one pipelined exploration. The coordinator
+// streams store records (msgRecords) as its merge produces them and
+// commits each finished level's id range (msgLevel); the worker expands
+// every owned state as soon as it is interned, pinning classification
+// at the state's level start (see expandState), and streams the
+// candidate bytes back as flow-controlled chunks. Expansion parks when
+// the credit window is exhausted and resumes on msgAck; a partial chunk
+// is flushed whenever the worker has expanded everything it holds, so
+// the coordinator's merge never waits on buffered bytes.
+func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) error {
+	r, err := newReplica(init, opt.FreezeLevels)
 	if err != nil {
 		return err
 	}
+	// Liveness deadlines live for the session only: a coordinator that
+	// goes silent mid-session is dead (it would at least ping), but a
+	// qssd worker idling between sessions must keep waiting.
+	c.readTimeout = workerIdleTimeout
+	c.writeTimeout = sendTimeout
+	defer c.clearRead()
+	defer c.clearWrite()
 	mode := "full-replica"
 	if r.trim {
 		mode = "trimmed"
 	}
 	shardLo, shardHi := petri.OwnedShardRange(r.index, r.shards, r.workers)
 	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d (%s), %d roots (%d owned)",
-		r.net.Name, len(r.net.Places), len(r.net.Transitions), r.index, r.workers,
-		shardLo, shardHi, r.shards, mode, r.rootCount, r.store.Len())
-	levels := 0
-	var deltas []petri.Delta
-	var recs []petri.VecDelta
-	var out []byte
-	for {
-		typ, payload, err := c.recv()
-		if err != nil {
-			return transportErr(err)
-		}
-		switch typ {
-		case msgDone:
-			mem := r.memStats()
-			logw.printf("session end: %d levels, %d states held, %dB store, %dB bits, %dB cache",
-				levels, mem.States, mem.StoreBytes, mem.BitsBytes, mem.CacheBytes)
-			return transportErr(c.send(msgStats, appendStats(nil, mem)))
-		case msgExpand:
-			var msg *expandMsg
-			msg, deltas, recs, err = decodeExpand(payload, r.trim, deltas, recs)
-			if err != nil {
-				return err
-			}
-			out, err = r.expandLevel(out[:0], msg)
-			if err != nil {
-				return err
-			}
-			if err := c.send(msgResult, out); err != nil {
-				return transportErr(err)
-			}
-			levels++
-		case msgError:
-			return fmt.Errorf("dist: coordinator error: %s", payload)
-		default:
-			return fmt.Errorf("dist: unexpected message type %d in session", typ)
-		}
-	}
-}
-
-// serveSessionV3 runs one pipelined exploration. The coordinator
-// streams store records (msgRecords) as its merge produces them and
-// commits each finished level's id range (msgLevel); the worker expands
-// every owned state as soon as it is interned, pinning classification
-// at the state's level start (see expandStateV3), and streams the
-// candidate bytes back as flow-controlled chunks. Expansion parks when
-// the credit window is exhausted and resumes on msgAck; a partial chunk
-// is flushed whenever the worker has expanded everything it holds, so
-// the coordinator's merge never waits on buffered bytes.
-func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) error {
-	r, err := newReplica(init, opt.FreezeLevels)
-	if err != nil {
-		return err
-	}
-	if init.proto >= 4 {
-		// Liveness deadlines live for the session only: a coordinator
-		// that goes silent mid-session is dead (it would at least ping),
-		// but a qssd worker idling between sessions must keep waiting.
-		c.readTimeout = workerIdleTimeout
-		c.writeTimeout = sendTimeout
-		defer c.clearRead()
-		defer c.clearWrite()
-	}
-	mode := "full-replica"
-	if r.trim {
-		mode = "trimmed"
-	}
-	shardLo, shardHi := petri.OwnedShardRange(r.index, r.shards, r.workers)
-	logw.printf("session start (proto 3): net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d (%s), %d roots (%d owned)",
 		r.net.Name, len(r.net.Places), len(r.net.Transitions), r.index, r.workers,
 		shardLo, shardHi, r.shards, mode, r.rootCount, r.store.Len())
 
@@ -757,7 +589,7 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 			for pinIdx+1 < len(bounds) && g >= bounds[pinIdx+1] {
 				pinIdx++
 			}
-			buf = r.expandStateV3(buf, cursor, petri.MarkID(bounds[pinIdx]))
+			buf = r.expandState(buf, cursor, petri.MarkID(bounds[pinIdx]))
 			cursor++
 			if len(buf) >= chunkTarget {
 				if err := flush(); err != nil {
@@ -792,9 +624,6 @@ func serveSessionV3(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) 
 				return transportErr(err)
 			}
 		case msgRestore:
-			if init.proto < 4 {
-				return fmt.Errorf("dist: restore on a protocol-%d session", init.proto)
-			}
 			if !virgin {
 				return fmt.Errorf("dist: restore after session traffic")
 			}

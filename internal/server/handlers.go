@@ -85,8 +85,17 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The server's ReadTimeout runs from the request's arrival, so a
+	// request queued for admission past it could no longer read its
+	// body. Re-arm it for the body read alone, then clear it so no read
+	// deadline is left on the connection while the synthesis runs.
+	rc := http.NewResponseController(w)
+	if hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server); hs != nil && hs.ReadTimeout > 0 {
+		rc.SetReadDeadline(time.Now().Add(hs.ReadTimeout))
+	}
 	var req synthesizeRequest
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	rc.SetReadDeadline(time.Time{})
 	if err == nil && len(body) > maxRequestBody {
 		err = fmt.Errorf("body exceeds %d bytes", maxRequestBody)
 	}

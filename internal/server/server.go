@@ -205,6 +205,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap exposes the connection's writer to http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool {
 	s.mu.Lock()

@@ -222,6 +222,50 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 }
 
+// TestReadTimeoutSparesSynthesis: an http.Server ReadTimeout bounds
+// reading the request only. A synthesis running past it keeps its
+// request context, and a request queued for admission past it can
+// still read its body (padded past the connection's read buffer, so
+// the read reaches the socket); both finish 200.
+func TestReadTimeoutSparesSynthesis(t *testing.T) {
+	const readTimeout = 100 * time.Millisecond
+	srv, started, release := blockingServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ReadTimeout = readTimeout
+	ts.Start()
+	defer ts.Close()
+	defer release()
+
+	body, _ := json.Marshal(&synthesizeRequest{FlowC: apps.Divisors, Net: apps.DivisorsSpec})
+	body = append(body, bytes.Repeat([]byte(" "), 64<<10)...)
+	results := make(chan int, 2)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
+		if err != nil {
+			results <- -1
+			return
+		}
+		resp.Body.Close()
+		results <- resp.StatusCode
+	}
+	go post() // A: takes the slot and runs
+	<-started
+	go post() // B: waits in the queue
+	waitGauge(t, srv, func(m *metrics) float64 { return m.queueDepth.v }, 1)
+	time.Sleep(3 * readTimeout)
+	select {
+	case got := <-results:
+		t.Fatalf("request finished with status %d while its synthesis was parked", got)
+	default:
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if got := <-results; got != http.StatusOK {
+			t.Fatalf("request past the read timeout finished with status %d, want 200", got)
+		}
+	}
+}
+
 // waitGauge polls a registry gauge until it reaches want (the tests'
 // only ordering dependency on handler goroutines).
 func waitGauge(t *testing.T, srv *Server, read func(*metrics) float64, want float64) {
