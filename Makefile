@@ -9,7 +9,8 @@
 #                      race test suite; this target is the CI job's
 #                      entry point and a focused local repro command)
 #   make dist-memory — the trimmed-replica memory gate: per-worker
-#                      store bytes <= 0.75x the full-replica baseline
+#                      store bytes <= 0.75x the bytes a whole-space
+#                      replica holds (computed from the serial store)
 #                      at 2 workers, plus the ~1/N scaling curve
 #                      (exact live byte counts, machine-independent)
 #   make store-frozen— the frozen store tier gate: the 161k-state
@@ -92,8 +93,10 @@ baseline:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/flowc
 	$(GO) test -run='^$$' -fuzz=FuzzExplore -fuzztime=$(FUZZTIME) ./internal/petri
+	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/petri
 	$(GO) test -run='^$$' -fuzz=FuzzPNMLParse -fuzztime=$(FUZZTIME) ./internal/pnml
 	$(GO) test -run='^$$' -fuzz=FuzzDistFrame -fuzztime=$(FUZZTIME) ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzChunkStream -fuzztime=$(FUZZTIME) ./internal/dist
 
 coverage:
 	$(GO) test -race -coverprofile=coverage.out ./...

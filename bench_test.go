@@ -391,9 +391,6 @@ func BenchmarkExploreDistTrimmed(b *testing.B) {
 			}
 			b.StopTimer()
 			st := pool.LastSessionStats()
-			if !st.Trimmed {
-				b.Fatal("session did not run trimmed replicas")
-			}
 			var storeMax, heapMax, cacheMax int64
 			held := 0
 			for _, wm := range st.Workers {
@@ -428,11 +425,9 @@ func BenchmarkExploreDistTrimmed(b *testing.B) {
 // candNew candidates resolve by shipped hash. Reported alongside
 // timing: coordinator fires per session (must equal the states
 // materialized — the no-refire property the unit tests pin), candNew
-// count, chunk count and receive bytes per level. The procs-N-full
-// variants run the full-replica fallback at 2 and 4 workers; every
-// variant reports total wire bytes (wireB) and the largest worker
-// replica (workerReplicaB, store plus enabled-set bytes), the two
-// figures the full-versus-trimmed replica decision rests on.
+// count, chunk count and receive bytes per level, plus total wire
+// bytes (wireB) and the largest worker replica (workerReplicaB, store
+// plus enabled-set bytes).
 func BenchmarkExploreDistPipelined(b *testing.B) {
 	const pipes, stages = 5, 11
 	want := 1
@@ -440,22 +435,14 @@ func BenchmarkExploreDistPipelined(b *testing.B) {
 		want *= stages
 	}
 	opt := petri.ExploreOptions{MaxMarkings: want + 1}
-	for _, cfg := range []struct {
-		procs int
-		full  bool
-	}{{1, false}, {2, false}, {4, false}, {2, true}, {4, true}} {
-		name := fmt.Sprintf("procs-%d", cfg.procs)
-		if cfg.full {
-			name += "-full"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, procs := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("procs-%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
-			pool, err := dist.SpawnLocal(cfg.procs)
+			pool, err := dist.SpawnLocal(procs)
 			if err != nil {
-				b.Fatalf("spawn %d workers: %v", cfg.procs, err)
+				b.Fatalf("spawn %d workers: %v", procs, err)
 			}
 			defer pool.Close()
-			pool.SetFullReplicas(cfg.full)
 			n := exploreLargeNet(pipes, stages)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -469,9 +456,6 @@ func BenchmarkExploreDistPipelined(b *testing.B) {
 			}
 			b.StopTimer()
 			st := pool.LastSessionStats()
-			if st.Trimmed == cfg.full {
-				b.Fatalf("session ran trimmed=%v, want full replicas=%v", st.Trimmed, cfg.full)
-			}
 			if st.CoordFires != int64(want-1) {
 				b.Fatalf("coordinator fired %d times, want one per interned state = %d", st.CoordFires, want-1)
 			}

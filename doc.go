@@ -76,8 +76,8 @@
 // marking-hash shards (petri.ShardOfHash/ShardOwner, the same
 // top-FNV-bits function the in-process petri.ShardedStore stripes by,
 // so shard ownership maps one-to-one onto the ShardedStore's routing).
-// By default replicas are TRIMMED: a worker holds vectors, hashes and
-// enabled bitsets only for its owned shards — per-worker memory scales
+// Replicas are TRIMMED: a worker holds vectors, hashes and enabled
+// bitsets only for its owned shards — per-worker memory scales
 // ~1/N with the pool, which is what takes state spaces beyond one
 // machine's RAM — and the coordinator sends it just the per-level
 // petri.VecDelta records whose child it owns, attaching the parent's
@@ -85,13 +85,7 @@
 // (deduplicated by a bounded LRU both sides run in lockstep, so a hot
 // boundary parent ships once per residency). Successors routing to
 // foreign shards are reported as new and resolved by the coordinator.
-// The full-replica fallback (core.Options.DistFullReplicas,
-// dist.Pool.SetFullReplicas, cmd/qssd -full-replicas) instead
-// broadcasts compact petri.Delta batches (parent MarkID + fired
-// transition — the steady state ships no token vectors) from which
-// every worker rebuilds the whole store, trading memory parity with
-// the coordinator for fully local successor classification. In either
-// mode workers answer with candidate streams classifying each
+// Workers answer with candidate streams classifying each
 // successor as vetoed, known (dense global MarkID) or new — a new
 // candidate also carries the successor's 64-bit marking hash, which
 // lets the coordinator resolve duplicates by a hash-only store probe
@@ -117,11 +111,11 @@
 // which round-trips exactly the structure firing, ECS partitioning and
 // the enabled tracker depend on. The matrix test
 // (internal/dist, `make dist-matrix`, its own CI job) pins generated C
-// across {serial, ExploreWorkers 1/4/8, trimmed worker processes
-// 1/2/4, full-replica processes} plus a 50-app corpus sweep with real
-// spawned processes under -race; `make dist-memory` gates per-worker
-// store bytes at <= 0.75x the full-replica baseline for 2 workers
-// (exact live counts, machine-independent); BenchmarkExploreDist
+// across {serial, ExploreWorkers 1/4/8, worker processes 1/2/4} plus a
+// 50-app corpus sweep with real spawned processes under -race;
+// `make dist-memory` gates per-worker store bytes at <= 0.75x the bytes
+// a whole-space replica holds, computed from the serial store, for 2
+// workers (exact live counts, machine-independent); BenchmarkExploreDist
 // documents the per-level protocol overhead,
 // BenchmarkExploreDistTrimmed the ~1/N per-worker memory curve and
 // BenchmarkExploreDistPipelined the streaming session (coordinator

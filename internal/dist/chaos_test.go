@@ -56,15 +56,13 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 		go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
 		c := newConn(cs)
 		payload, err := c.expect(msgHello)
-		var flags uint64
 		if err == nil {
-			flags, _, err = checkHello(payload)
+			_, err = checkHello(payload)
 		}
 		if err != nil {
 			t.Fatalf("chaos worker %d handshake: %v", i, err)
 		}
 		p.workers = append(p.workers, c)
-		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
 		cp.wconns = append(cp.wconns, ws)
 		t.Cleanup(func() {
 			cs.Close()
@@ -77,48 +75,65 @@ func newChaosPool(t *testing.T, n int, wrap func(i int, c net.Conn) net.Conn) *c
 
 // TestHelloPidRoundTrip: the hello's trailing pid — the SpawnLocal
 // conn-to-process mapping that kill/respawn depends on — survives the
-// wire, and a hello of any other protocol version is refused, both by
-// checkHello and by a pool accepting such a worker.
+// wire, and a hello of any other protocol version or with any nonzero
+// flags field is refused, both by checkHello and by a pool accepting
+// such a worker.
 // (Regression: the pid was once decoded at the flags offset and came
 // back 0, making every respawn pool think its workers were external.)
 func TestHelloPidRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		ver, pid int
-		ok       bool
-	}{{2, 0, false}, {3, 0, false}, {4, 12345, true}, {4, 1, true}} {
+		flags    uint64
+		wantErr  string
+	}{
+		{ver: 2, wantErr: "protocol version"},
+		{ver: 3, wantErr: "protocol version"},
+		{ver: 4, flags: 1, pid: 7, wantErr: "flags"},
+		{ver: 4, pid: 12345},
+		{ver: 4, pid: 1},
+	} {
 		cs, ws := net.Pipe()
 		go func() {
-			newConn(ws).send(msgHello, appendHello(nil, tc.ver, helloFullReplicas, tc.pid))
+			newConn(ws).send(msgHello, appendHello(nil, tc.ver, tc.flags, tc.pid))
 		}()
 		c := newConn(cs)
 		payload, err := c.expect(msgHello)
 		if err != nil {
 			t.Fatalf("v%d: %v", tc.ver, err)
 		}
-		flags, pid, err := checkHello(payload)
+		pid, err := checkHello(payload)
 		cs.Close()
 		ws.Close()
-		if !tc.ok {
-			if err == nil || !strings.Contains(err.Error(), "protocol version") {
-				t.Fatalf("v%d: checkHello = %v, want a protocol version error", tc.ver, err)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("v%d flags %d: checkHello = %v, want a %q error", tc.ver, tc.flags, err, tc.wantErr)
 			}
 			continue
 		}
 		if err != nil {
 			t.Fatalf("v%d: checkHello: %v", tc.ver, err)
 		}
-		if flags != helloFullReplicas || pid != tc.pid {
-			t.Fatalf("v%d pid %d: got flags=%d pid=%d", tc.ver, tc.pid, flags, pid)
+		if pid != tc.pid {
+			t.Fatalf("v%d pid %d: got pid=%d", tc.ver, tc.pid, pid)
 		}
 	}
-	// A pool refuses the old worker at accept time instead of starting
-	// a session with it.
-	p, err := acceptPipePool(t, []pipeWorker{{ver: 2}})
-	if err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Fatalf("accept of a version-2 worker = %v, want a protocol version error", err)
-	}
-	if len(p.workers) != 0 {
-		t.Fatalf("pool kept %d workers after a refused hello", len(p.workers))
+	// A pool refuses an old worker, or one asking for a capability
+	// (flag bit 0 once demanded whole-space replicas), at accept time
+	// instead of starting a session with it.
+	for _, tc := range []struct {
+		w       pipeWorker
+		wantErr string
+	}{
+		{pipeWorker{ver: 2}, "protocol version"},
+		{pipeWorker{ver: protoVersion, flags: 1}, "flags"},
+	} {
+		p, err := acceptPipePool(t, []pipeWorker{tc.w})
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("accept of %+v = %v, want a %q error", tc.w, err, tc.wantErr)
+		}
+		if len(p.workers) != 0 {
+			t.Fatalf("pool kept %d workers after a refused hello", len(p.workers))
+		}
 	}
 }
 
@@ -151,13 +166,12 @@ func TestHeartbeatTimeout(t *testing.T) {
 	c := newConn(cs)
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		_, _, err = checkHello(payload)
+		_, err = checkHello(payload)
 	}
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	p.workers = append(p.workers, c)
-	p.wantFull = append(p.wantFull, false)
 	t.Cleanup(func() { cs.Close(); ws.Close(); <-done })
 
 	n := ringNet(2, 4)

@@ -49,8 +49,8 @@
 // which keeps the candidate stream a pure function of ownership and
 // committed levels — byte-identical regardless of message timing.
 //
-// In the default trimmed-replica mode each worker holds vectors,
-// hashes and enabled bitsets only for its owned shards — per-worker
+// Each worker holds a trimmed replica: vectors, hashes and enabled
+// bitsets only for its owned shards — per-worker
 // memory is ~1/N of the state space, which is what takes explorations
 // beyond one machine's RAM. The coordinator sends each worker just the
 // petri.VecDelta records whose child it owns; a record whose parent
@@ -60,14 +60,6 @@
 // parent ships once per residency rather than once per child.
 // Successors routing to foreign shards are reported as new and
 // resolved by the coordinator's merge against the authoritative store.
-//
-// The full-replica fallback (Pool.SetFullReplicas, cmd/qssd
-// -full-replicas, core.Options.DistFullReplicas) broadcasts compact
-// petri.Delta batches instead — every worker re-fires to reconstruct
-// all vectors, so steady-state traffic carries no vectors at all and
-// every successor is classified locally, at the price of memory parity
-// with the coordinator in every worker. Results are byte-identical in
-// both modes.
 //
 // Orthogonally, WorkerOptions.FreezeLevels (cmd/qssd -freeze-levels,
 // or QSS_DIST_FREEZE=1 for spawned workers) moves the vectors of
@@ -79,9 +71,7 @@
 // scales with the marking width. Dedup probes against old states thaw
 // vectors on demand. The coordinator freezes its authoritative store
 // the same way when the caller sets FreezeLevels in its explore
-// options; a full replica asked to restore a mostly-frozen store pays
-// a thaw per shipped state (slow but correct). Results stay
-// byte-identical in every combination.
+// options. Results stay byte-identical in every combination.
 //
 // # Process management
 //
@@ -110,7 +100,7 @@
 // On a death the coordinator pauses at the last committed level,
 // quiesces the survivors, and rebuilds the pool: a SpawnLocal pool
 // re-execs a replacement process (bounded retries, exponential backoff
-// with jitter) and reloads its trimmed replica by streaming the owned
+// with jitter) and reloads its replica by streaming the owned
 // post-level store slice over msgRestore; a pool that cannot respawn
 // (external workers) redistributes the dead worker's shards across the
 // survivors instead. The session then replays the interrupted level

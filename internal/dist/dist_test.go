@@ -12,9 +12,9 @@ import (
 
 // pipeWorker describes one in-process worker of a pipePoolOf pool.
 type pipeWorker struct {
-	ver  int                     // 0: a real worker; else it only sends a hello of this version
-	wopt WorkerOptions           // worker-side options
-	wrap func(net.Conn) net.Conn // optional worker-side conn wrapper (latency injection)
+	ver   int                     // 0: a real worker; else it only sends a hello of this version
+	flags uint64                  // the stand-in hello's flags field (ver != 0 only)
+	wrap  func(net.Conn) net.Conn // optional worker-side conn wrapper (latency injection)
 }
 
 // pipeListener is a net.Listener handing out the coordinator ends of
@@ -31,16 +31,10 @@ func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net:
 // end of net.Pipe connections — the full protocol stack (framing,
 // encoding, replica, merge) without process spawning, so the unit tests
 // stay fast and debuggable. Process-level coverage lives in the
-// determinism matrix tests (package dist_test). Workers run the
-// default trimmed-replica mode; pass WorkerOptions to exercise the
-// full-replica fallback or capability negotiation.
-func pipePool(t *testing.T, n int, wopt WorkerOptions) *Pool {
+// determinism matrix tests (package dist_test).
+func pipePool(t *testing.T, n int) *Pool {
 	t.Helper()
-	specs := make([]pipeWorker, n)
-	for i := range specs {
-		specs[i].wopt = wopt
-	}
-	return pipePoolOf(t, specs)
+	return pipePoolOf(t, make([]pipeWorker, n))
 }
 
 // pipePoolOf is pipePool with per-worker options and conn wrappers,
@@ -68,9 +62,9 @@ func acceptPipePool(t *testing.T, specs []pipeWorker) (*Pool, error) {
 		}
 		errc := make(chan error, 1)
 		if spec.ver == 0 {
-			go func() { errc <- ServeConn(wc, newLogWriter("worker"), spec.wopt) }()
+			go func() { errc <- ServeConn(wc, newLogWriter("worker"), WorkerOptions{}) }()
 		} else {
-			go func() { errc <- newConn(wc).send(msgHello, appendHello(nil, spec.ver, 0, os.Getpid())) }()
+			go func() { errc <- newConn(wc).send(msgHello, appendHello(nil, spec.ver, spec.flags, os.Getpid())) }()
 		}
 		ln.conns <- cs
 		t.Cleanup(func() {
@@ -172,43 +166,29 @@ func TestExploreDistPipe(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.net.Explore(tc.opt)
-			for _, mode := range []struct {
-				name string
-				wopt WorkerOptions
-			}{
-				{"trimmed", WorkerOptions{}},
-				{"full", WorkerOptions{FullReplicas: true}},
-			} {
-				for _, workers := range []int{1, 2, 4} {
-					p := pipePool(t, workers, mode.wopt)
-					got, err := tc.net.ExploreDist(p, tc.opt)
-					if err != nil {
-						t.Fatalf("ExploreDist(%d %s workers): %v", workers, mode.name, err)
+			for _, workers := range []int{1, 2, 4} {
+				p := pipePool(t, workers)
+				got, err := tc.net.ExploreDist(p, tc.opt)
+				if err != nil {
+					t.Fatalf("ExploreDist(%d workers): %v", workers, err)
+				}
+				requireSameReach(t, fmt.Sprintf("%d workers", workers), want, got)
+				st := p.LastSessionStats()
+				if st.States != want.Len() || st.Levels == 0 {
+					t.Fatalf("session stats %+v inconsistent with %d states", st, want.Len())
+				}
+				if len(st.Workers) != workers {
+					t.Fatalf("stats carry %d workers, pool has %d", len(st.Workers), workers)
+				}
+				held := 0
+				for w, wm := range st.Workers {
+					if wm.StoreBytes <= 0 {
+						t.Fatalf("worker %d reported no store bytes: %+v", w, wm)
 					}
-					requireSameReach(t, fmt.Sprintf("%d %s workers", workers, mode.name), want, got)
-					st := p.LastSessionStats()
-					if st.States != want.Len() || st.Levels == 0 {
-						t.Fatalf("session stats %+v inconsistent with %d states", st, want.Len())
-					}
-					if wantTrim := !mode.wopt.FullReplicas; st.Trimmed != wantTrim {
-						t.Fatalf("session ran trimmed=%v, worker capability asked %v", st.Trimmed, wantTrim)
-					}
-					if len(st.Workers) != workers {
-						t.Fatalf("stats carry %d workers, pool has %d", len(st.Workers), workers)
-					}
-					held := 0
-					for w, wm := range st.Workers {
-						if wm.StoreBytes <= 0 {
-							t.Fatalf("worker %d reported no store bytes: %+v", w, wm)
-						}
-						if !st.Trimmed && wm.States != want.Len() {
-							t.Fatalf("full-replica worker %d holds %d states, want %d", w, wm.States, want.Len())
-						}
-						held += wm.States
-					}
-					if st.Trimmed && held != want.Len() {
-						t.Fatalf("trimmed workers hold %d states in total, store has %d", held, want.Len())
-					}
+					held += wm.States
+				}
+				if held != want.Len() {
+					t.Fatalf("workers hold %d states in total, store has %d", held, want.Len())
 				}
 			}
 		})
@@ -218,7 +198,7 @@ func TestExploreDistPipe(t *testing.T) {
 // TestPoolSessionReuse: one pool serves several explorations in
 // sequence (the batch drivers synthesize many apps over one pool).
 func TestPoolSessionReuse(t *testing.T) {
-	p := pipePool(t, 2, WorkerOptions{})
+	p := pipePool(t, 2)
 	nets := []*petri.Net{ringNet(2, 3), sourceNet(), ringNet(1, 6)}
 	for i, n := range nets {
 		opt := petri.ExploreOptions{MaxMarkings: 200, MaxTokensPerPlace: 3, FireSources: true}
@@ -246,13 +226,12 @@ func TestPoolPoisoned(t *testing.T) {
 	c := newConn(cs)
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		_, _, err = checkHello(payload)
+		_, err = checkHello(payload)
 	}
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	p.workers = append(p.workers, c)
-	p.wantFull = append(p.wantFull, false)
 	n := ringNet(2, 3)
 	if _, err := n.ExploreDist(p, petri.ExploreOptions{MaxMarkings: 100}); err == nil {
 		t.Fatal("want error from dying worker")

@@ -196,7 +196,7 @@ func (p *Pool) respawnWorker(i int) error {
 			lastErr = err
 			continue
 		}
-		c, flags, _, err := acceptOne(p.ln, spawnHandshakeTimeout)
+		c, _, err := acceptOne(p.ln, spawnHandshakeTimeout)
 		if err != nil {
 			lastErr = err
 			p.markDead(cmd)
@@ -204,7 +204,6 @@ func (p *Pool) respawnWorker(i int) error {
 			continue
 		}
 		p.workers[i] = c
-		p.wantFull[i] = flags&helloFullReplicas != 0
 		p.procs[i] = cmd
 		p.logw.printf("respawned worker %d (pid %d)", i, cmd.Process.Pid)
 		return nil
@@ -240,19 +239,17 @@ func (p *Pool) removeWorkers(gone []int) {
 		rm[i] = true
 	}
 	var ws []*conn
-	var wf []bool
 	var procs []*exec.Cmd
 	for i := range p.workers {
 		if rm[i] {
 			continue
 		}
 		ws = append(ws, p.workers[i])
-		wf = append(wf, p.wantFull[i])
 		if p.procs != nil {
 			procs = append(procs, p.procs[i])
 		}
 	}
-	p.workers, p.wantFull = ws, wf
+	p.workers = ws
 	if p.procs != nil {
 		p.procs = procs
 	}
@@ -304,7 +301,6 @@ func (p *Pool) KillWorker(i int) error {
 type attempt struct {
 	p       *Pool
 	W, S    int
-	trim    bool
 	links   []*workerLink
 	streams []chunkStream
 }
@@ -419,29 +415,21 @@ func (a *attempt) awaitFrame(i int) (frame, error) {
 
 // sendRestores rebuilds every worker's replica from the authoritative
 // store after a recovery re-init: the committed level being replayed
-// plus the uncommitted tail. A trimmed worker receives its owned
-// states at or past the resume point; a full-replica worker the whole
-// store.
+// plus the uncommitted tail. Each worker receives its owned states at
+// or past the resume point.
 func (a *attempt) sendRestores(store *petri.MarkingStore, rs *resume) error {
 	bounds := []int{rs.levelStart, rs.levelEnd}
 	var payload []byte
 	for i := range a.p.workers {
-		if a.trim {
-			var gids []petri.MarkID
-			for id := rs.levelStart; id < store.Len(); id++ {
-				if a.owner(store, petri.MarkID(id)) == i {
-					gids = append(gids, petri.MarkID(id))
-				}
+		var gids []petri.MarkID
+		for id := rs.levelStart; id < store.Len(); id++ {
+			if a.owner(store, petri.MarkID(id)) == i {
+				gids = append(gids, petri.MarkID(id))
 			}
-			payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, len(gids))
-			for _, g := range gids {
-				payload = appendRestoreState(payload, g, store.At(g))
-			}
-		} else {
-			payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, store.Len())
-			for id := 0; id < store.Len(); id++ {
-				payload = appendRestoreState(payload, petri.MarkID(id), store.At(petri.MarkID(id)))
-			}
+		}
+		payload = appendRestoreHeader(payload[:0], rs.levelStart, bounds, len(gids))
+		for _, g := range gids {
+			payload = appendRestoreState(payload, g, store.At(g))
 		}
 		if err := a.p.workers[i].send(msgRestore, payload); err != nil {
 			return a.deathOf(i, fmt.Errorf("restore: %w", err))
@@ -463,9 +451,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 	p := a.p
 	W := len(p.workers)
 	S := petri.NumFrontierShards(W)
-	trim := p.trimmed()
-	a.W, a.S, a.trim = W, S, trim
-	p.stats.Trimmed = trim
+	a.W, a.S = W, S
 	start0 := startBytes(p.workers)
 	defer func() {
 		sent, recvd := sentRecvSince(p.workers, start0)
@@ -496,7 +482,7 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		}
 	}
 	for i, c := range p.workers {
-		init := &initMsg{index: i, workers: W, shards: S, trim: trim, net: n, spec: spec, roots: roots}
+		init := &initMsg{index: i, workers: W, shards: S, net: n, spec: spec, roots: roots}
 		if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 			return a.die(i, fmt.Errorf("init: %w", err))
 		}
@@ -513,18 +499,13 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 		}
 	}
 	var (
-		deltas  []petri.Delta      // full-replica mode: broadcast batches
-		pending [][]petri.VecDelta // trimmed mode: per-worker batches
-		vcaches []*vecCache        // trimmed mode: per-worker cache models
+		pending = make([][]petri.VecDelta, W) // per-worker record batches
+		vcaches = make([]*vecCache, W)        // per-worker cache models
 		scratch petri.Marking
 		payload = make([]byte, 0, 1<<12)
 	)
-	if trim {
-		pending = make([][]petri.VecDelta, W)
-		vcaches = make([]*vecCache, W)
-		for i := range vcaches {
-			vcaches[i] = newVecCache()
-		}
+	for i := range vcaches {
+		vcaches[i] = newVecCache()
 	}
 	// flushRecs ships worker i's pending records. Boundary-parent vector
 	// attachment happens here, at flush time in record order — the same
@@ -548,19 +529,6 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 			return a.deathOf(i, fmt.Errorf("records: %w", err))
 		}
 		pending[i] = recs[:0]
-		return nil
-	}
-	flushDeltas := func() error {
-		if len(deltas) == 0 {
-			return nil
-		}
-		payload = petri.AppendDeltas(payload[:0], deltas)
-		for i, c := range p.workers {
-			if err := c.send(msgRecords, payload); err != nil {
-				return a.deathOf(i, fmt.Errorf("records: %w", err))
-			}
-		}
-		deltas = deltas[:0]
 		return nil
 	}
 	resuming := rs.active
@@ -599,14 +567,8 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 			// since the previous merge discovered them; flush the tails
 			// and commit the range so workers can pin and expand the
 			// whole level.
-			if trim {
-				for i := range p.workers {
-					if err := flushRecs(i); err != nil {
-						return false, err
-					}
-				}
-			} else {
-				if err := flushDeltas(); err != nil {
+			for i := range p.workers {
+				if err := flushRecs(i); err != nil {
 					return false, err
 				}
 			}
@@ -731,26 +693,14 @@ func (a *attempt) run(n *petri.Net, store *petri.MarkingStore, spec petri.Expand
 					// the one fallible step here, and a death between the
 					// intern and the checkpoint would make the replay
 					// misclassify this discovery as a revisit.
-					flushW := -1
-					if trim {
-						cw := petri.ShardOwner(petri.ShardOfHash(h, S), S, W)
-						pending[cw] = append(pending[cw], petri.VecDelta{
-							Child: g, Parent: petri.MarkID(id), Trans: int32(trans),
-						})
-						if len(pending[cw]) >= recordFlush {
-							flushW = cw
-						}
-					} else {
-						deltas = append(deltas, petri.Delta{Parent: petri.MarkID(id), Trans: int32(trans)})
-					}
+					cw := petri.ShardOwner(petri.ShardOfHash(h, S), S, W)
+					pending[cw] = append(pending[cw], petri.VecDelta{
+						Child: g, Parent: petri.MarkID(id), Trans: int32(trans),
+					})
 					hooks.Edge(petri.MarkID(id), int32(trans), g, true)
 					rs.cands++
-					if flushW >= 0 {
-						if err := flushRecs(flushW); err != nil {
-							return false, err
-						}
-					} else if !trim && len(deltas) >= recordFlush {
-						if err := flushDeltas(); err != nil {
+					if len(pending[cw]) >= recordFlush {
+						if err := flushRecs(cw); err != nil {
 							return false, err
 						}
 					}
@@ -853,7 +803,7 @@ func (a *attempt) finish(n *petri.Net, store *petri.MarkingStore, completed bool
 		}
 	}
 	p.stats.States = store.Len()
-	p.logw.printf("session %s: %d levels, %d states, %d candNew (%d fires, %d chunks), %d restarts (trimmed=%v, completed=%v)",
-		n.Name, p.stats.Levels, p.stats.States, p.stats.CandNew, p.stats.CoordFires, p.stats.Chunks, p.stats.Restarts, a.trim, completed)
+	p.logw.printf("session %s: %d levels, %d states, %d candNew (%d fires, %d chunks), %d restarts (completed=%v)",
+		n.Name, p.stats.Levels, p.stats.States, p.stats.CandNew, p.stats.CoordFires, p.stats.Chunks, p.stats.Restarts, completed)
 	return completed, nil
 }

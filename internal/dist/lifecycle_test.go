@@ -19,7 +19,7 @@ import (
 // TestNumWorkersRace: NumWorkers must be safe against a concurrent
 // Close (run under -race; the unlocked read was a data race).
 func TestNumWorkersRace(t *testing.T) {
-	p := pipePool(t, 2, WorkerOptions{})
+	p := pipePool(t, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -73,7 +73,7 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 	c := newConn(cs)
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		_, _, err = checkHello(payload)
+		_, err = checkHello(payload)
 	}
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
@@ -90,7 +90,6 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 	// The same connection serves a full exploration afterwards.
 	p := &Pool{logw: newLogWriter("coord")}
 	p.workers = append(p.workers, c)
-	p.wantFull = append(p.wantFull, false)
 	n := ringNet(2, 4)
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	want := n.Explore(opt)
@@ -121,7 +120,7 @@ func TestWorkerSurvivesBadSession(t *testing.T) {
 
 	// Severing the link mid-session is a transport error: the serve
 	// loop must exit non-nil (the process has nothing left to serve).
-	init := &initMsg{index: 0, workers: 1, shards: petri.NumFrontierShards(1), trim: true, net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
+	init := &initMsg{index: 0, workers: 1, shards: petri.NumFrontierShards(1), net: n, spec: fullSpec(n), roots: []petri.Marking{n.InitialMarking()}}
 	if err := c.send(msgInit, appendInit(nil, init)); err != nil {
 		t.Fatal(err)
 	}

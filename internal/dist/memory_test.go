@@ -11,13 +11,13 @@ import (
 // The distributed memory gate: trimmed replicas exist to make
 // per-worker memory scale ~1/N with the pool size, so CI asserts the
 // ratio, not just the mechanism. All figures are exact live byte
-// counts (petri.MarkingStore.ArenaBytes plus the enabled-set arena) —
-// pure functions of the interned marking sequence, identical on every
+// counts (the store's hot bytes plus the enabled-set arena) — pure
+// functions of the interned marking sequence, identical on every
 // machine and Go toolchain that runs the same exploration — which is
 // what allows a strict numeric gate instead of a noisy RSS heuristic.
 
 // gateRatio is the CI bound: at 2 workers, each trimmed worker must
-// hold at most 0.75x the replica bytes of a full-replica worker. The
+// hold at most 0.75x the replica bytes of a whole-space replica. The
 // ideal split is ~0.5x; the slack covers hash imbalance and the
 // fixed per-store probe-table floor.
 const gateRatio = 0.75
@@ -30,66 +30,58 @@ func replicaBytes(m dist.WorkerMem) int64 { return m.StoreBytes + m.BitsBytes }
 
 // exploreWithPool runs one exploration over freshly spawned worker
 // processes and returns the session stats.
-func exploreWithPool(t *testing.T, n *petri.Net, procs int, full bool, opt petri.ExploreOptions) (*petri.ReachResult, dist.SessionStats) {
+func exploreWithPool(t *testing.T, n *petri.Net, procs int, opt petri.ExploreOptions) (*petri.ReachResult, dist.SessionStats) {
 	t.Helper()
 	pool, err := dist.SpawnLocal(procs)
 	if err != nil {
 		t.Fatalf("spawn %d workers: %v", procs, err)
 	}
 	defer pool.Close()
-	pool.SetFullReplicas(full)
 	r, err := n.ExploreDist(pool, opt)
 	if err != nil {
-		t.Fatalf("ExploreDist(%d procs, full=%v): %v", procs, full, err)
+		t.Fatalf("ExploreDist(%d procs): %v", procs, err)
 	}
 	return r, pool.LastSessionStats()
 }
 
 // TestDistTrimmedMemoryGate is the CI `dist-memory` step: on a
 // product-space net big enough to dwarf fixed overheads (4^6 = 4096
-// states), per-worker replica bytes under the default trimmed protocol
-// must be <= gateRatio x the full-replica baseline at 2 workers, and
-// the trimmed workers' stores must partition the state space instead
-// of duplicating it.
+// states), per-worker replica bytes must be <= gateRatio x the bytes a
+// whole-space replica holds at 2 workers, and the workers' stores must
+// partition the state space instead of duplicating it. The baseline is
+// computed, not measured: a replica holding every state keeps the
+// serial store's hot bytes plus one enabled-set row (stride words) per
+// state — the figure live whole-space worker replicas reported exactly
+// (884736B on this net) while that mode existed.
 func TestDistTrimmedMemoryGate(t *testing.T) {
 	net := productNet(6, 4)
 	opt := petri.ExploreOptions{MaxMarkings: 5000}
 
-	want, fullStats := exploreWithPool(t, net, 2, true, opt)
-	got, trimStats := exploreWithPool(t, net, 2, false, opt)
-	assertSameReach(t, "trimmed vs full", want, got)
-	if fullStats.Trimmed || !trimStats.Trimmed {
-		t.Fatalf("replica modes inverted: full session trimmed=%v, trimmed session trimmed=%v",
-			fullStats.Trimmed, trimStats.Trimmed)
-	}
+	want := net.Explore(opt)
+	got, st := exploreWithPool(t, net, 2, opt)
+	assertSameReach(t, "dist vs serial", want, got)
+	stride := petri.NewEnabledTracker(net, net.ECSPartition()).Stride()
+	fullBytes := want.Store.Mem().HotBytes + int64(want.Len()*stride*8)
 
-	var fullMax, trimMax int64
+	var trimMax int64
 	held := 0
-	for w := range fullStats.Workers {
-		fb, tb := replicaBytes(fullStats.Workers[w]), replicaBytes(trimStats.Workers[w])
-		t.Logf("worker %d: full %dB (%d states), trimmed %dB (%d states, %dB boundary cache)",
-			w, fb, fullStats.Workers[w].States, tb, trimStats.Workers[w].States, trimStats.Workers[w].CacheBytes)
-		if fb > fullMax {
-			fullMax = fb
-		}
+	for w, wm := range st.Workers {
+		tb := replicaBytes(wm)
+		t.Logf("worker %d: %dB (%d states, %dB boundary cache)", w, tb, wm.States, wm.CacheBytes)
 		if tb > trimMax {
 			trimMax = tb
 		}
-		if fullStats.Workers[w].States != want.Len() {
-			t.Errorf("full-replica worker %d holds %d states, want the whole space (%d)",
-				w, fullStats.Workers[w].States, want.Len())
-		}
-		held += trimStats.Workers[w].States
+		held += wm.States
 	}
 	if held != want.Len() {
 		t.Errorf("trimmed workers hold %d states in total, space has %d", held, want.Len())
 	}
-	if limit := int64(float64(fullMax) * gateRatio); trimMax > limit {
-		t.Errorf("trimmed per-worker replica %dB exceeds %.2fx full-replica baseline (%dB of %dB)",
-			trimMax, gateRatio, limit, fullMax)
+	if limit := int64(float64(fullBytes) * gateRatio); trimMax > limit {
+		t.Errorf("trimmed per-worker replica %dB exceeds %.2fx whole-space replica baseline (%dB of %dB)",
+			trimMax, gateRatio, limit, fullBytes)
 	}
-	t.Logf("gate: trimmed max %dB vs full max %dB (%.2fx, bound %.2fx) over %d states",
-		trimMax, fullMax, float64(trimMax)/float64(fullMax), gateRatio, want.Len())
+	t.Logf("gate: trimmed max %dB vs whole-space replica %dB (%.2fx, bound %.2fx) over %d states",
+		trimMax, fullBytes, float64(trimMax)/float64(fullBytes), gateRatio, want.Len())
 }
 
 // TestDistTrimmedMemoryScaling documents the ~1/N curve the tentpole
@@ -101,7 +93,7 @@ func TestDistTrimmedMemoryScaling(t *testing.T) {
 	want := net.Explore(opt)
 	prevMax := int64(0)
 	for _, procs := range []int{1, 2, 4} {
-		got, st := exploreWithPool(t, net, procs, false, opt)
+		got, st := exploreWithPool(t, net, procs, opt)
 		assertSameReach(t, fmt.Sprintf("procs=%d", procs), want, got)
 		var max int64
 		for _, wm := range st.Workers {

@@ -48,30 +48,17 @@ func TestExploreDistPipelinedDelayedWorker(t *testing.T) {
 	n := ringNet(2, 5)
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	want := n.Explore(opt)
-	for _, mode := range []struct {
-		name string
-		wopt WorkerOptions
-	}{
-		{"trimmed", WorkerOptions{}},
-		{"full", WorkerOptions{FullReplicas: true}},
-	} {
-		for slow := 0; slow < 3; slow++ {
-			specs := make([]pipeWorker, 3)
-			for i := range specs {
-				specs[i].wopt = mode.wopt
-				if i == slow {
-					specs[i].wrap = func(c net.Conn) net.Conn {
-						return &slowConn{Conn: c, delay: time.Millisecond}
-					}
-				}
-			}
-			p := pipePoolOf(t, specs)
-			got, err := n.ExploreDist(p, opt)
-			if err != nil {
-				t.Fatalf("%s, worker %d delayed: %v", mode.name, slow, err)
-			}
-			requireSameReach(t, fmt.Sprintf("%s, worker %d delayed", mode.name, slow), want, got)
+	for slow := 0; slow < 3; slow++ {
+		specs := make([]pipeWorker, 3)
+		specs[slow].wrap = func(c net.Conn) net.Conn {
+			return &slowConn{Conn: c, delay: time.Millisecond}
 		}
+		p := pipePoolOf(t, specs)
+		got, err := n.ExploreDist(p, opt)
+		if err != nil {
+			t.Fatalf("worker %d delayed: %v", slow, err)
+		}
+		requireSameReach(t, fmt.Sprintf("worker %d delayed", slow), want, got)
 	}
 }
 
@@ -84,7 +71,7 @@ func TestCandNewNoRefire(t *testing.T) {
 	opt := petri.ExploreOptions{MaxMarkings: 1000}
 	roots := 1
 
-	p := pipePool(t, 2, WorkerOptions{})
+	p := pipePool(t, 2)
 	got, err := n.ExploreDist(p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +97,7 @@ func TestCandNewNoRefire(t *testing.T) {
 func TestRejectAbortMidLevel(t *testing.T) {
 	n := ringNet(2, 4)
 	spec := fullSpec(n)
-	p := pipePool(t, 2, WorkerOptions{})
+	p := pipePool(t, 2)
 	const admitCap = 3
 	store := petri.NewMarkingStore(len(n.Places))
 	store.Intern(n.InitialMarking())

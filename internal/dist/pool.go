@@ -21,7 +21,6 @@ import (
 type Pool struct {
 	mu       sync.Mutex
 	workers  []*conn
-	wantFull []bool             // per worker: demanded full replicas in hello
 	cmds     []*exec.Cmd        // every process ever spawned (reaped at Close); empty for Listen pools
 	procs    []*exec.Cmd        // per worker: the process behind the connection (nil entries for external workers)
 	deadCmds map[*exec.Cmd]bool // processes retired mid-session; their exit status is not an error
@@ -29,7 +28,6 @@ type Pool struct {
 	ln       net.Listener       // retained SpawnLocal listener, for respawning replacements
 	self     string             // executable respawned as a replacement worker
 	sock     string             // endpoint replacement workers dial
-	full     bool               // coordinator-side full-replica fallback
 	broken   error              // first infrastructure failure; poisons the pool
 	closed   bool
 	logw     *logWriter
@@ -53,7 +51,6 @@ type Pool struct {
 type SessionStats struct {
 	Levels    int
 	States    int
-	Trimmed   bool  // replica mode the session actually ran in
 	BytesSent int64 // coordinator -> workers (init, records, commits, acks)
 	BytesRecv int64 // workers -> coordinator (candidate streams)
 	// CandNew counts candNew candidates across the session's merge; each
@@ -185,34 +182,34 @@ func Listen(endpoint string, n int) (*Pool, error) {
 
 // acceptOne accepts a single worker from the listener and runs the
 // hello handshake under the given deadline.
-func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, flags uint64, pid int, err error) {
+func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, pid int, err error) {
 	type deadliner interface{ SetDeadline(time.Time) error }
 	if d, ok := ln.(deadliner); ok {
 		if err := d.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, 0, 0, fmt.Errorf("dist: arm accept deadline: %w", err)
+			return nil, 0, fmt.Errorf("dist: arm accept deadline: %w", err)
 		}
 	}
 	nc, err := ln.Accept()
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	c = newConn(nc)
 	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
 		nc.Close()
-		return nil, 0, 0, fmt.Errorf("dist: arm handshake deadline: %w", err)
+		return nil, 0, fmt.Errorf("dist: arm handshake deadline: %w", err)
 	}
 	payload, err := c.expect(msgHello)
 	if err == nil {
-		flags, pid, err = checkHello(payload)
+		pid, err = checkHello(payload)
 	}
 	if err == nil {
 		err = nc.SetDeadline(time.Time{})
 	}
 	if err != nil {
 		nc.Close()
-		return nil, 0, 0, fmt.Errorf("dist: worker handshake: %w", err)
+		return nil, 0, fmt.Errorf("dist: worker handshake: %w", err)
 	}
-	return c, flags, pid, nil
+	return c, pid, nil
 }
 
 // accept gathers n hello-ing workers from the listener and returns
@@ -222,12 +219,11 @@ func acceptOne(ln net.Listener, timeout time.Duration) (c *conn, flags uint64, p
 func (p *Pool) accept(ln net.Listener, n int, timeout time.Duration) ([]int, error) {
 	var pids []int
 	for len(p.workers) < n {
-		c, flags, pid, err := acceptOne(ln, timeout)
+		c, pid, err := acceptOne(ln, timeout)
 		if err != nil {
 			return nil, fmt.Errorf("dist: waiting for worker %d/%d: %w", len(p.workers)+1, n, err)
 		}
 		p.workers = append(p.workers, c)
-		p.wantFull = append(p.wantFull, flags&helloFullReplicas != 0)
 		pids = append(pids, pid)
 	}
 	return pids, nil
@@ -238,33 +234,6 @@ func (p *Pool) NumWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.workers)
-}
-
-// SetFullReplicas switches the pool's later sessions to the
-// full-replica fallback: every worker rebuilds the whole store from
-// broadcast delta batches (memory parity with the coordinator) instead
-// of holding only its owned shards. Results are byte-identical either
-// way; full replicas trade worker memory for local successor
-// classification. A worker that demanded full replicas in its hello
-// (cmd/qssd -full-replicas) forces the fallback regardless.
-func (p *Pool) SetFullReplicas(full bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.full = full
-}
-
-// trimmed reports the replica mode the next session will use. Callers
-// hold p.mu.
-func (p *Pool) trimmed() bool {
-	if p.full {
-		return false
-	}
-	for _, wf := range p.wantFull {
-		if wf {
-			return false
-		}
-	}
-	return true
 }
 
 // Err reports the infrastructure failure that poisoned the pool, or

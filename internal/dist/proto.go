@@ -110,15 +110,6 @@ var (
 	workerIdleTimeout = 10 * time.Minute
 )
 
-// Hello capability flags.
-const (
-	// helloFullReplicas: the worker insists on full-replica sessions
-	// (cmd/qssd -full-replicas); the coordinator switches the whole
-	// pool to full replicas, which changes memory and traffic but never
-	// results.
-	helloFullReplicas = 1 << 0
-)
-
 // Candidate tags within a result stream.
 const (
 	candVeto  = 0 // successor beyond the spec caps
@@ -274,10 +265,10 @@ func (c *conn) expect(typ byte) ([]byte, error) {
 }
 
 // appendHello encodes a worker's greeting: magic, protocol version,
-// capability flags and the worker's pid, which lets a SpawnLocal pool
-// map each accepted connection to the process behind it — the
-// bookkeeping worker-kill fault injection and respawn recovery depend
-// on.
+// a flags field (always 0; checkHello refuses any other value) and the
+// worker's pid, which lets a SpawnLocal pool map each accepted
+// connection to the process behind it — the bookkeeping worker-kill
+// fault injection and respawn recovery depend on.
 func appendHello(dst []byte, version int, flags uint64, pid int) []byte {
 	dst = append(dst, protoMagic...)
 	dst = binary.AppendUvarint(dst, uint64(version))
@@ -285,50 +276,51 @@ func appendHello(dst []byte, version int, flags uint64, pid int) []byte {
 	return binary.AppendUvarint(dst, uint64(pid))
 }
 
-// checkHello accepts exactly a protoVersion hello and returns its
-// flags and pid.
-func checkHello(payload []byte) (flags uint64, pid int, err error) {
+// checkHello accepts exactly a protoVersion hello with zero flags and
+// returns its pid. A nonzero flags field is a capability this
+// coordinator does not offer, refused at accept rather than mid-session.
+func checkHello(payload []byte) (pid int, err error) {
 	if len(payload) < len(protoMagic) || string(payload[:len(protoMagic)]) != protoMagic {
-		return 0, 0, fmt.Errorf("dist: bad hello magic")
+		return 0, fmt.Errorf("dist: bad hello magic")
 	}
 	buf := payload[len(protoMagic):]
 	v, n := binary.Uvarint(buf)
 	if n <= 0 || v != protoVersion {
-		return 0, 0, fmt.Errorf("dist: protocol version %d (supported %d)", v, protoVersion)
+		return 0, fmt.Errorf("dist: protocol version %d (supported %d)", v, protoVersion)
 	}
 	buf = buf[n:]
-	flags, n = binary.Uvarint(buf)
+	flags, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("dist: hello flags missing")
+		return 0, fmt.Errorf("dist: hello flags missing")
+	}
+	if flags != 0 {
+		return 0, fmt.Errorf("dist: hello flags %#x unsupported (want 0)", flags)
 	}
 	p, n := binary.Uvarint(buf[n:])
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("dist: hello pid missing")
+		return 0, fmt.Errorf("dist: hello pid missing")
 	}
-	return flags, int(p), nil
+	return int(p), nil
 }
 
 // initMsg is the decoded session-start payload.
 type initMsg struct {
 	index, workers, shards int
-	trim                   bool
 	net                    *petri.Net
 	spec                   petri.ExpandSpec
 	roots                  []petri.Marking
 }
 
 // appendInit encodes a session init. The leading field repeats the
-// session protocol, which decodeInit requires to be protoVersion.
+// session protocol, which decodeInit requires to be protoVersion; the
+// field after the shard count is the replica mode, always 1 (trimmed
+// owned-shard replicas, the only mode).
 func appendInit(dst []byte, m *initMsg) []byte {
 	dst = binary.AppendUvarint(dst, protoVersion)
 	dst = binary.AppendUvarint(dst, uint64(m.index))
 	dst = binary.AppendUvarint(dst, uint64(m.workers))
 	dst = binary.AppendUvarint(dst, uint64(m.shards))
-	trim := uint64(0)
-	if m.trim {
-		trim = 1
-	}
-	dst = binary.AppendUvarint(dst, trim)
+	dst = binary.AppendUvarint(dst, 1) // replica mode: trimmed
 	dst = petri.AppendNet(dst, m.net)
 	dst = binary.AppendUvarint(dst, uint64(len(m.spec.Mask)))
 	for _, w := range m.spec.Mask {
@@ -361,7 +353,9 @@ func decodeInit(buf []byte) (*initMsg, error) {
 		err = fmt.Errorf("session protocol %d, want %d", proto, protoVersion)
 	}
 	m.index, m.workers, m.shards = int(u()), int(u()), int(u())
-	m.trim = u() != 0
+	if trim := u(); err == nil && trim != 1 {
+		err = fmt.Errorf("replica mode %d unsupported (only 1, trimmed)", trim)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: init header: %w", err)
 	}
@@ -414,12 +408,11 @@ func decodeInit(buf []byte) (*initMsg, error) {
 }
 
 // Session payload helpers. msgRecords carries a bare record batch
-// (petri.AppendVecDeltas for trimmed sessions — children named by
-// global id — or petri.AppendDeltas for full replicas, children
-// implicit in store order); msgChunk carries raw candidate-stream
-// bytes, cut only at state-group boundaries; msgLevel commits the
-// [start, end) global-id range of the level whose records finished
-// streaming; msgAck returns consumed chunk credits.
+// (petri.AppendVecDeltas, children named by global id); msgChunk
+// carries raw candidate-stream bytes, cut only at state-group
+// boundaries; msgLevel commits the [start, end) global-id range of the
+// level whose records finished streaming; msgAck returns consumed
+// chunk credits.
 
 func appendLevel(dst []byte, start, end int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(start))
@@ -442,9 +435,8 @@ func decodeLevel(buf []byte) (start, end int, err error) {
 // recovery re-init (whose roots are empty): resumeFrom is the start of
 // the level the merge will replay, bounds are the committed level
 // starts plus the uncommitted level's start (the worker's pin table),
-// and states are (global id, vector) pairs in ascending id order — a
-// trimmed worker receives its owned states at or past resumeFrom, a
-// full-replica worker the entire store.
+// and states are (global id, vector) pairs in ascending id order — the
+// worker's owned states at or past resumeFrom.
 type restoreMsg struct {
 	resumeFrom int
 	bounds     []int
@@ -517,13 +509,13 @@ func decodeRestore(buf []byte) (*restoreMsg, error) {
 // WorkerMem is one worker's end-of-session replica accounting, shipped
 // in the msgStats reply to done. Store, bits and cache bytes are exact
 // live counts — pure functions of the interned sequence, comparable
-// across processes and machines — which is what lets CI gate trimmed
-// against full replicas with strict byte ratios. HeapBytes is the Go
-// runtime's live-heap figure at session end: machine-dependent,
-// informational only.
+// across processes and machines — which is what lets CI gate them
+// against the computed bytes of a whole-space replica with a strict
+// ratio. HeapBytes is the Go runtime's live-heap figure at session
+// end: machine-dependent, informational only.
 type WorkerMem struct {
 	States     int   // markings held in the worker's store
-	StoreBytes int64 // hot store bytes (MarkingStore.Mem().HotBytes) + the local->global id table (4B per held state when trimmed)
+	StoreBytes int64 // hot store bytes (MarkingStore.Mem().HotBytes) + the local->global id table (4B per held state)
 	BitsBytes  int64 // enabled-set arena (len * 8)
 	CacheBytes int64 // boundary-parent vector cache payload
 	HeapBytes  int64 // runtime.MemStats.HeapAlloc (informational)

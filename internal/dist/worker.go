@@ -15,32 +15,21 @@ import (
 
 // Worker side: a replica of the exploration state plus the serve loop.
 //
-// In the default trimmed mode a worker holds marking vectors, hashes
-// and enabled bitsets ONLY for the hash shards it owns: the coordinator
-// sends it just the VecDelta records whose child lands in those shards,
-// attaching the parent's token vector when the parent belongs to
-// another worker (the worker can no longer re-fire from a full local
-// replica). Per-worker memory therefore scales with owned states,
-// ~1/N of the state space — the property that takes explorations past
-// one machine's RAM. In the full-replica fallback every worker rebuilds
-// the whole store from the broadcast Delta batches, trading memory
-// parity with the coordinator for coordinator-side work: a full replica
-// classifies every successor locally, while a trimmed one reports
-// successors of foreign shards as new and leaves resolution to the
-// coordinator's merge.
+// A worker holds marking vectors, hashes and enabled bitsets ONLY for
+// the hash shards it owns: the coordinator sends it just the VecDelta
+// records whose child lands in those shards, attaching the parent's
+// token vector when the parent belongs to another worker. Per-worker
+// memory therefore scales with owned states, ~1/N of the state space —
+// the property that takes explorations past one machine's RAM.
 //
-// Either way the worker expands exactly the frontier states whose shard
-// it owns and classifies each successor as veto / known / new; ordering
-// decisions stay with the coordinator, so results are byte-identical
-// across modes and worker counts.
+// The worker expands exactly the frontier states it holds and
+// classifies each successor as veto / known / new; successors of
+// foreign shards are reported new and resolved by the coordinator's
+// merge. Ordering decisions stay with the coordinator, so results are
+// byte-identical across worker counts.
 
 // WorkerOptions configures a worker's serve loop.
 type WorkerOptions struct {
-	// FullReplicas advertises (via hello) that this worker refuses
-	// trimmed sessions; the coordinator switches the pool to
-	// full-replica mode. For memory-rich workers that prefer local
-	// successor classification over coordinator-side resolution.
-	FullReplicas bool
 	// DialAttempts caps the initial-dial retries of Serve (cmd/qssd
 	// -dial-attempts): 0 retries until the dial budget expires, n > 0
 	// gives up after n attempts even with budget left.
@@ -50,7 +39,7 @@ type WorkerOptions struct {
 	// freeze tier): once the coordinator commits a level, states below
 	// it can never again be record parents or expansion sources, so
 	// only their hashes and segment offsets stay resident. Shrinks the
-	// per-worker footprint on top of what trimming already saves.
+	// per-worker footprint on top of what the owned-shard split saves.
 	// Results are byte-identical either way.
 	FreezeLevels bool
 }
@@ -66,11 +55,10 @@ type replica struct {
 	bits    []uint64
 	scratch petri.Marking
 
-	// Trimmed-mode state: gids maps the store's dense local ids to the
-	// coordinator's global MarkIDs (strictly ascending, so the inverse
-	// is a binary search) and vcache holds boundary-parent vectors in
-	// lockstep with the coordinator.
-	trim      bool
+	// gids maps the store's dense local ids to the coordinator's global
+	// MarkIDs (strictly ascending, so the inverse is a binary search)
+	// and vcache holds boundary-parent vectors in lockstep with the
+	// coordinator.
 	gids      []petri.MarkID
 	vcache    *vecCache
 	rootCount int
@@ -94,11 +82,11 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 	r := &replica{
 		net:     m.net,
 		spec:    m.spec,
-		trim:    m.trim,
 		index:   m.index,
 		workers: m.workers,
 		shards:  m.shards,
 		store:   petri.NewMarkingStore(len(m.net.Places)),
+		vcache:  newVecCache(),
 	}
 	r.part = r.net.ECSPartition()
 	r.tracker = petri.NewEnabledTracker(r.net, r.part)
@@ -108,9 +96,6 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 	}
 	if len(m.spec.Caps) != len(r.net.Places) {
 		return nil, fmt.Errorf("dist: spec caps cover %d places, net has %d", len(m.spec.Caps), len(r.net.Places))
-	}
-	if r.trim {
-		r.vcache = newVecCache()
 	}
 	if freeze {
 		if err := r.store.EnableFreeze(petri.FreezeConfig{Deltas: r.net.TokenDeltas()}); err == nil {
@@ -123,20 +108,14 @@ func newReplica(m *initMsg, freeze bool) (*replica, error) {
 			return nil, fmt.Errorf("dist: root %d has %d places, net has %d", i, len(root), len(r.net.Places))
 		}
 		h := petri.HashMarking(root)
-		if r.trim && !r.ownsHash(h) {
+		if !r.ownsHash(h) {
 			continue
 		}
-		id, isNew := r.store.InternHashed(root, h)
-		if !isNew {
+		if _, isNew := r.store.InternHashed(root, h); !isNew {
 			return nil, fmt.Errorf("dist: duplicate root %d", i)
 		}
-		if !r.trim && int(id) != i {
-			return nil, fmt.Errorf("dist: root %d interned as %d", i, id)
-		}
 		r.appendProv(petri.FreezeProv{Parent: petri.NoMark}) // roots: verbatim
-		if r.trim {
-			r.gids = append(r.gids, petri.MarkID(i))
-		}
+		r.gids = append(r.gids, petri.MarkID(i))
 		base := len(r.bits)
 		r.bits = append(r.bits, make([]uint64, r.stride)...)
 		r.tracker.Init(r.bits[base:base+r.stride], root)
@@ -151,30 +130,9 @@ func (r *replica) ownsHash(h uint64) bool {
 	return petri.ShardOwner(sh, r.shards, r.workers) == r.index
 }
 
-// owns reports whether this worker's shard range contains state id
-// (a local store id).
-func (r *replica) owns(id petri.MarkID) bool {
-	return r.ownsHash(r.store.HashAt(id))
-}
-
-// gid maps a local store id to the coordinator's global MarkID — the
-// identity in full-replica mode.
-func (r *replica) gid(local petri.MarkID) petri.MarkID {
-	if !r.trim {
-		return local
-	}
-	return r.gids[local]
-}
-
-// localOf inverts gid: binary search over the ascending gids table in
-// trimmed mode, a bounds check otherwise.
+// localOf maps a global MarkID to its local store id: a binary
+// search over the ascending gids table.
 func (r *replica) localOf(g petri.MarkID) (petri.MarkID, bool) {
-	if !r.trim {
-		if int(g) >= r.store.Len() {
-			return petri.NoMark, false
-		}
-		return g, true
-	}
 	i := sort.Search(len(r.gids), func(i int) bool { return r.gids[i] >= g })
 	if i < len(r.gids) && r.gids[i] == g {
 		return petri.MarkID(i), true
@@ -182,37 +140,9 @@ func (r *replica) localOf(g petri.MarkID) (petri.MarkID, bool) {
 	return petri.NoMark, false
 }
 
-// applyDelta re-fires one (parent, trans) discovery of a full-replica
-// session, growing the store and the enabled-set arena exactly as the
-// coordinator's merge did.
-func (r *replica) applyDelta(d petri.Delta) error {
-	if int(d.Parent) >= r.store.Len() {
-		return fmt.Errorf("dist: delta parent %d beyond store (%d states)", d.Parent, r.store.Len())
-	}
-	if int(d.Trans) < 0 || int(d.Trans) >= len(r.net.Transitions) {
-		return fmt.Errorf("dist: delta transition %d out of range", d.Trans)
-	}
-	t := r.net.Transitions[d.Trans]
-	m := r.store.At(d.Parent)
-	if !m.Enabled(t) {
-		return fmt.Errorf("dist: delta fires disabled transition %s at state %d", t.Name, d.Parent)
-	}
-	r.scratch = m.FireInto(r.scratch, t)
-	id, isNew := r.store.Intern(r.scratch)
-	if !isNew {
-		return fmt.Errorf("dist: delta (%d, %s) re-discovers state %d", d.Parent, t.Name, id)
-	}
-	r.appendProv(petri.FreezeProv{Parent: d.Parent, Trans: d.Trans}) // full replica: local id == global
-	base := len(r.bits)
-	r.bits = append(r.bits, make([]uint64, r.stride)...)
-	r.tracker.Update(r.bits[base:base+r.stride],
-		r.bits[int(d.Parent)*r.stride:(int(d.Parent)+1)*r.stride], int(d.Trans), r.store.At(id))
-	return nil
-}
-
-// applyRec interns one owned child of a trimmed session. The parent
-// vector comes from the owned store, from the record itself, or from
-// the boundary-parent cache (whose state mirrors the coordinator's; a
+// applyRec interns one owned child record. The parent vector comes
+// from the owned store, from the record itself, or from the
+// boundary-parent cache (whose state mirrors the coordinator's; a
 // miss is a protocol failure, not a recoverable condition). A child
 // derived from a shipped or cached vector gets its enabled set from
 // tracker.Init — the incremental Update needs the parent's bitset,
@@ -253,7 +183,7 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 	}
 	id, isNew := r.store.InternHashed(r.scratch, h)
 	if !isNew {
-		return fmt.Errorf("dist: record (%d, %s) re-discovers state %d", rec.Parent, t.Name, r.gid(id))
+		return fmt.Errorf("dist: record (%d, %s) re-discovers state %d", rec.Parent, t.Name, r.gids[id])
 	}
 	if n := len(r.gids); n > 0 && r.gids[n-1] >= rec.Child {
 		return fmt.Errorf("dist: record child %d not ascending (last %d)", rec.Child, r.gids[n-1])
@@ -276,12 +206,11 @@ func (r *replica) applyRec(rec petri.VecDelta) error {
 // applyRestore rebuilds a fresh replica from a bulk load
 // (see restoreMsg): every shipped state is interned in ascending global
 // id order with its enabled set recomputed from scratch (tracker.Init
-// and the incremental Update agree bit-for-bit). A trimmed replica
-// receives only owned states at or past the resume point — the states
-// it may still have to expand or route records through; everything
-// older was fully merged before the failure and can only come back as
-// a candNew the coordinator resolves by hash. A full replica receives
-// the dense store prefix.
+// and the incremental Update agree bit-for-bit). The replica receives
+// only owned states at or past the resume point — the states it may
+// still have to expand or route records through; everything older was
+// fully merged before the failure and can only come back as a candNew
+// the coordinator resolves by hash.
 func (r *replica) applyRestore(m *restoreMsg) error {
 	if r.store.Len() != 0 || len(r.gids) != 0 {
 		return fmt.Errorf("dist: restore into a non-empty replica (%d states)", r.store.Len())
@@ -300,27 +229,21 @@ func (r *replica) applyRestore(m *restoreMsg) error {
 			return fmt.Errorf("dist: restore state %d has %d places, net has %d", g, len(vec), len(r.net.Places))
 		}
 		h := petri.HashMarking(vec)
-		if r.trim {
-			if !r.ownsHash(h) {
-				return fmt.Errorf("dist: restore state %d routes outside this worker's shards", g)
-			}
-			if int(g) < m.resumeFrom {
-				return fmt.Errorf("dist: restore state %d below resume point %d", g, m.resumeFrom)
-			}
-			if n := len(r.gids); n > 0 && r.gids[n-1] >= g {
-				return fmt.Errorf("dist: restore state %d not ascending (last %d)", g, r.gids[n-1])
-			}
-		} else if int(g) != i {
-			return fmt.Errorf("dist: restore state %d at position %d — a full replica needs the dense prefix", g, i)
+		if !r.ownsHash(h) {
+			return fmt.Errorf("dist: restore state %d routes outside this worker's shards", g)
+		}
+		if int(g) < m.resumeFrom {
+			return fmt.Errorf("dist: restore state %d below resume point %d", g, m.resumeFrom)
+		}
+		if n := len(r.gids); n > 0 && r.gids[n-1] >= g {
+			return fmt.Errorf("dist: restore state %d not ascending (last %d)", g, r.gids[n-1])
 		}
 		id, isNew := r.store.InternHashed(vec, h)
 		if !isNew {
 			return fmt.Errorf("dist: restore re-interns state %d as local %d", g, id)
 		}
 		r.appendProv(petri.FreezeProv{Parent: petri.NoMark}) // restored: verbatim
-		if r.trim {
-			r.gids = append(r.gids, g)
-		}
+		r.gids = append(r.gids, g)
 		base := len(r.bits)
 		r.bits = append(r.bits, make([]uint64, r.stride)...)
 		r.tracker.Init(r.bits[base:base+r.stride], r.store.At(id))
@@ -351,7 +274,7 @@ func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		cands += len(r.part[ei].Trans)
 	})
-	dst = binary.AppendUvarint(dst, uint64(r.gid(id)))
+	dst = binary.AppendUvarint(dst, uint64(r.gids[id]))
 	dst = binary.AppendUvarint(dst, uint64(cands))
 	petri.ForEachMaskedBit(bits, r.spec.Mask, func(ei int) {
 		for _, tid := range r.part[ei].Trans {
@@ -373,8 +296,8 @@ func (r *replica) expandState(dst []byte, id, pin petri.MarkID) []byte {
 
 // classify resolves the scratch successor: ok=false for a cap veto,
 // otherwise the replica-known global MarkID (or NoMark for a successor
-// this worker cannot resolve — a first sighting, or in trimmed mode any
-// successor routing to another worker's shards) plus the successor's
+// this worker cannot resolve — a first sighting, or any successor
+// routing to another worker's shards) plus the successor's
 // hash, which ships with candNew candidates so the coordinator's merge
 // resolves them against the authoritative store without re-firing.
 func (r *replica) classify() (petri.MarkID, uint64, bool) {
@@ -382,11 +305,11 @@ func (r *replica) classify() (petri.MarkID, uint64, bool) {
 		return petri.NoMark, 0, false
 	}
 	h := petri.HashMarking(r.scratch)
-	if r.trim && !r.ownsHash(h) {
+	if !r.ownsHash(h) {
 		return petri.NoMark, h, true
 	}
 	if local, ok := r.store.LookupHashed(r.scratch, h); ok {
-		return r.gid(local), h, true
+		return r.gids[local], h, true
 	}
 	return petri.NoMark, h, true
 }
@@ -402,10 +325,7 @@ func (r *replica) freezeCommitted(start int, cursor petri.MarkID) {
 	if r.fwin == nil {
 		return
 	}
-	floor := start // full replica: local id == global id
-	if r.trim {
-		floor = sort.Search(len(r.gids), func(i int) bool { return int(r.gids[i]) >= start })
-	}
+	floor := sort.Search(len(r.gids), func(i int) bool { return int(r.gids[i]) >= start })
 	if int(cursor) < floor {
 		floor = int(cursor)
 	}
@@ -419,7 +339,7 @@ func (r *replica) freezeCommitted(start int, cursor petri.MarkID) {
 // memStats summarizes the replica's memory for the end-of-session
 // stats reply. Store accounting derives from the single
 // petri.MarkingStore.Mem helper — plus the gids translation table
-// (4 bytes per owned state in trimmed mode) — so this figure, the
+// (4 bytes per held state) — so this figure, the
 // dist-memory CI gate and the server's worker-memory gauge can never
 // silently diverge.
 func (r *replica) memStats() WorkerMem {
@@ -429,9 +349,7 @@ func (r *replica) memStats() WorkerMem {
 		StoreBytes:  sm.HotBytes + int64(len(r.gids))*4,
 		BitsBytes:   int64(len(r.bits)) * 8,
 		FrozenBytes: sm.FrozenBytes,
-	}
-	if r.vcache != nil {
-		m.CacheBytes = int64(r.vcache.bytes())
+		CacheBytes:  int64(r.vcache.bytes()),
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -469,11 +387,7 @@ func transportErr(err error) error {
 // session instead of dying on the first bad one.
 func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
 	c := newConn(nc)
-	var flags uint64
-	if opt.FullReplicas {
-		flags |= helloFullReplicas
-	}
-	if err := c.send(msgHello, appendHello(nil, protoVersion, flags, os.Getpid())); err != nil {
+	if err := c.send(msgHello, appendHello(nil, protoVersion, 0, os.Getpid())); err != nil {
 		return err
 	}
 	// draining: a session failed and its msgError went out; skip frames
@@ -500,9 +414,6 @@ func ServeConn(nc net.Conn, logw *logWriter, opt WorkerOptions) error {
 		}
 		draining = false
 		init, err := decodeInit(payload)
-		if err == nil && init.trim && opt.FullReplicas {
-			err = fmt.Errorf("dist: trimmed session offered to a full-replicas-only worker")
-		}
 		if err == nil {
 			err = serveSession(c, init, logw, opt)
 		}
@@ -538,14 +449,10 @@ func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) er
 	c.writeTimeout = sendTimeout
 	defer c.clearRead()
 	defer c.clearWrite()
-	mode := "full-replica"
-	if r.trim {
-		mode = "trimmed"
-	}
 	shardLo, shardHi := petri.OwnedShardRange(r.index, r.shards, r.workers)
-	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d (%s), %d roots (%d owned)",
+	logw.printf("session start: net %s (%d places, %d transitions), worker %d/%d owning shards [%d,%d) of %d, %d roots (%d owned)",
 		r.net.Name, len(r.net.Places), len(r.net.Transitions), r.index, r.workers,
-		shardLo, shardHi, r.shards, mode, r.rootCount, r.store.Len())
+		shardLo, shardHi, r.shards, r.rootCount, r.store.Len())
 
 	// bounds holds the committed level starts plus, at bounds[len-1],
 	// the start of the level records are currently building. Records
@@ -561,7 +468,6 @@ func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) er
 	virgin := true // no session traffic yet; a restore must come first
 
 	var buf []byte
-	var deltas []petri.Delta
 	var recs []petri.VecDelta
 
 	flush := func() error {
@@ -581,11 +487,7 @@ func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) er
 			if unacked >= chunkWindow {
 				return nil // parked; the next ack resumes expansion
 			}
-			if !r.trim && !r.owns(cursor) {
-				cursor++
-				continue
-			}
-			g := int(r.gid(cursor))
+			g := int(r.gids[cursor])
 			for pinIdx+1 < len(bounds) && g >= bounds[pinIdx+1] {
 				pinIdx++
 			}
@@ -638,12 +540,6 @@ func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) er
 			bounds = append(bounds[:0], m.bounds...)
 			pinIdx = 0
 			cursor = 0
-			if !r.trim {
-				// The dense prefix below the resume point was fully merged
-				// and expanded before the failure; only re-expand from the
-				// replayed level on.
-				cursor = petri.MarkID(m.resumeFrom)
-			}
 			logw.printf("restored %d states (resume at %d, %d bounds)", r.store.Len(), m.resumeFrom, len(m.bounds))
 			if err := pump(); err != nil {
 				return err
@@ -651,31 +547,16 @@ func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) er
 		case msgRecords:
 			virgin = false
 			lo := bounds[len(bounds)-1]
-			if r.trim {
-				recs, _, err = petri.DecodeVecDeltas(recs[:0], payload)
-				if err != nil {
+			recs, _, err = petri.DecodeVecDeltas(recs[:0], payload)
+			if err != nil {
+				return err
+			}
+			for _, rec := range recs {
+				if int(rec.Child) < lo {
+					return fmt.Errorf("dist: record child %d below uncommitted level start %d", rec.Child, lo)
+				}
+				if err := r.applyRec(rec); err != nil {
 					return err
-				}
-				for _, rec := range recs {
-					if int(rec.Child) < lo {
-						return fmt.Errorf("dist: record child %d below uncommitted level start %d", rec.Child, lo)
-					}
-					if err := r.applyRec(rec); err != nil {
-						return err
-					}
-				}
-			} else {
-				deltas, _, err = petri.DecodeDeltas(deltas[:0], payload)
-				if err != nil {
-					return err
-				}
-				for _, d := range deltas {
-					if r.store.Len() < lo {
-						return fmt.Errorf("dist: delta arrives with store at %d, below uncommitted level start %d", r.store.Len(), lo)
-					}
-					if err := r.applyDelta(d); err != nil {
-						return err
-					}
 				}
 			}
 			if err := pump(); err != nil {
@@ -690,12 +571,8 @@ func serveSession(c *conn, init *initMsg, logw *logWriter, opt WorkerOptions) er
 			if start != bounds[len(bounds)-1] || end < start {
 				return fmt.Errorf("dist: level commit [%d,%d) does not extend bounds at %d", start, end, bounds[len(bounds)-1])
 			}
-			if r.trim {
-				if n := len(r.gids); n > 0 && int(r.gids[n-1]) >= end {
-					return fmt.Errorf("dist: level commit [%d,%d) but record child %d already interned", start, end, r.gids[n-1])
-				}
-			} else if r.store.Len() != end {
-				return fmt.Errorf("dist: level commit [%d,%d) but replica holds %d states", start, end, r.store.Len())
+			if n := len(r.gids); n > 0 && int(r.gids[n-1]) >= end {
+				return fmt.Errorf("dist: level commit [%d,%d) but record child %d already interned", start, end, r.gids[n-1])
 			}
 			bounds = append(bounds, end)
 			r.freezeCommitted(start, cursor)
